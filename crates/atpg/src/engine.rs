@@ -242,7 +242,7 @@ impl Atpg {
             let batch: Vec<BitVec> = (0..config.random_batch)
                 .map(|_| BitVec::random_with(width, &mut || rng.gen::<u64>()))
                 .collect();
-            let res = self.fsim.run_wide(
+            let res = self.fsim.run(
                 &batch,
                 &faults.subset(&remaining),
                 config.simd_width.resolve(batch.len()),
@@ -353,7 +353,7 @@ impl Atpg {
                 })
                 .collect();
             let dict = (!candidates.is_empty()).then(|| {
-                self.fsim.dictionary_wide(
+                self.fsim.dictionary(
                     &candidates,
                     &faults.subset(&targets),
                     config.simd_width.resolve(candidates.len()),
@@ -400,14 +400,17 @@ impl Atpg {
 
             // One batched drop pass for the whole round's accepted
             // patterns (≤ one packed 64-lane block) against everything
-            // still undetected, instead of one `detects` call per test.
+            // still undetected, instead of one simulation per test.
             if patterns.len() > round_start {
                 let round = &patterns[round_start..];
-                let det = self.fsim.detects_wide(
-                    round,
-                    &faults.subset(&remaining),
-                    config.simd_width.resolve(round.len()),
-                );
+                let det = self
+                    .fsim
+                    .run(
+                        round,
+                        &faults.subset(&remaining),
+                        config.simd_width.resolve(round.len()),
+                    )
+                    .detected;
                 for (sub, &orig) in remaining.iter().enumerate() {
                     if det.get(sub) {
                         detected.set(orig.index(), true);
@@ -456,7 +459,7 @@ impl Atpg {
         let reversed: Vec<BitVec> = patterns.iter().rev().cloned().collect();
         let res = self
             .fsim
-            .run_wide(&reversed, faults, config.simd_width.resolve(reversed.len()));
+            .run(&reversed, faults, config.simd_width.resolve(reversed.len()));
         if res.detected.count_ones() != expected_detected {
             eprintln!(
                 "fbist-atpg: compaction changed coverage ({} != {} faults); \
@@ -546,7 +549,7 @@ mod tests {
         assert_eq!(full.detected.count_ones(), compacted.detected.count_ones());
         assert!(compacted.patterns.len() <= full.patterns.len());
         // verify compacted patterns really cover everything claimed
-        let check = atpg.fsim.detects(&compacted.patterns, &faults);
+        let check = atpg.fsim.run(&compacted.patterns, &faults, 1).detected;
         assert_eq!(check.count_ones(), compacted.detected.count_ones());
     }
 
@@ -641,7 +644,7 @@ mod tests {
         let compacted =
             atpg.compacted_or_fallback(r.patterns.clone(), &faults, r.detected.count_ones(), &cfg);
         assert!(compacted.len() <= r.patterns.len());
-        let check = atpg.fsim.detects(&compacted, &faults);
+        let check = atpg.fsim.run(&compacted, &faults, 1).detected;
         assert_eq!(check.count_ones(), r.detected.count_ones());
     }
 

@@ -32,7 +32,7 @@ fn bench_fault_sim(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("packed_event_driven", name),
             &(&sim, &pats, &faults),
-            |b, (sim, pats, faults)| b.iter(|| sim.detects(pats, faults)),
+            |b, (sim, pats, faults)| b.iter(|| sim.run(pats, faults, 1).detected),
         );
     }
     group.finish();
@@ -45,7 +45,9 @@ fn bench_fault_sim_vs_naive(c: &mut Criterion) {
     let sim = FaultSimulator::new(&n).unwrap();
     let pats = patterns(5, 32, 9);
     let mut group = c.benchmark_group("fault_sim_vs_naive");
-    group.bench_function("packed_c17_32p", |b| b.iter(|| sim.detects(&pats, &faults)));
+    group.bench_function("packed_c17_32p", |b| {
+        b.iter(|| sim.run(&pats, &faults, 1).detected)
+    });
     group.bench_function("naive_c17_32p", |b| {
         b.iter(|| {
             let mut detected = 0;

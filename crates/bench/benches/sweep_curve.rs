@@ -1,29 +1,14 @@
-//! Per-τ vs. first-detection τ-sweep evaluation.
-//!
-//! Two views of the same contract, both at `jobs = 1` (so every ratio is
-//! pure simulation sharing, not parallelism) on a mid-size and a
-//! c7552-scale circuit, over the default `fbist sweep` τ list
-//! `[0, 3, 7, 15, 31, 63, 127, 255]`:
+//! The τ-sweep at `jobs = 1` on a mid-size and a c7552-scale circuit,
+//! over the default `fbist sweep` τ list `[0, 3, 7, 15, 31, 63, 127, 255]`:
 //!
 //! * `sweep_curve/…` — the user-facing `tradeoff_sweep_with` end to end,
-//!   including the shared, τ-independent ATPG run both engines pay
-//!   identically (on `big3500` that fixed cost is ~27 s and caps the
-//!   end-to-end ratio);
+//!   including the shared, τ-independent ATPG run;
 //! * `sweep_matrix/…` — `tradeoff_sweep_from_base` on a precomputed
-//!   [`AtpgBase`]: the τ-sweep machinery itself, which is what this
-//!   engine rewrites. Per-τ pays one Detection-Matrix fault simulation
-//!   per point; first-detection pays exactly one pass at `max(taus)` and
-//!   derives every point by thresholding.
+//!   [`AtpgBase`]: the sweep machinery itself, one first-detection pass
+//!   at `max(taus)` plus every point's covering and trimming.
 //!
-//! Both engines are bit-identical by construction (asserted below before
-//! timing a single iteration), so every ratio is pure speedup. CI
-//! consumes the merged `BENCH_results.json` entries and fails if
-//! first-detection is ever slower than per-τ in either view, or the
-//! `sweep_matrix` amortisation drops under its per-circuit floor
-//! (3.0× on `big3500`, 2.5× on `mid256` — locally 3.58× and 3.05×; the
-//! mid256 floor leaves noise margin below the measured 3× because the
-//! per-point solve/trim work both engines share dilutes the small
-//! circuit's ratio; see `.github/workflows/ci.yml`).
+//! The entries keep their `first_detection` label so the
+//! `BENCH_results.json` history stays comparable.
 //!
 //! [`AtpgBase`]: reseed_core::AtpgBase
 
@@ -31,51 +16,34 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fbist_bench::build_circuit;
 use fbist_genbench::profile;
 use reseed_core::{
-    tradeoff_sweep_from_base, tradeoff_sweep_with, FlowConfig, ReseedingFlow, SweepEngine, TpgKind,
+    tradeoff_sweep_from_base, tradeoff_sweep_with, FlowConfig, ReseedingFlow, TpgKind,
 };
 
 /// The `fbist sweep` default τ list.
 const TAUS: [usize; 8] = [0, 3, 7, 15, 31, 63, 127, 255];
 
 fn bench_sweep_curve(c: &mut Criterion) {
-    let engines = [
-        ("per_tau", SweepEngine::PerTau),
-        ("first_detection", SweepEngine::FirstDetection),
-    ];
     for name in ["mid256", "big3500"] {
         let p = profile(name).expect("profile registered");
         let netlist = build_circuit(&p, 1);
         let flow = ReseedingFlow::new(&netlist).expect("combinational circuit");
-        let cfg = |engine: SweepEngine| {
-            FlowConfig::new(TpgKind::Adder)
-                .with_jobs(1)
-                .with_sweep_engine(engine)
-        };
-        let base = flow.builder().atpg_base(&cfg(SweepEngine::Auto));
-        assert_eq!(
-            tradeoff_sweep_with(&flow, &cfg(SweepEngine::PerTau), &TAUS),
-            tradeoff_sweep_from_base(&flow, &base, &cfg(SweepEngine::FirstDetection), &TAUS),
-            "first-detection sweep must be bit-identical to per-τ ({name})"
-        );
+        let cfg = FlowConfig::new(TpgKind::Adder).with_jobs(1);
+        let base = flow.builder().atpg_base(&cfg);
 
         // end to end, ATPG included (the `fbist sweep` experience)
         let mut group = c.benchmark_group("sweep_curve");
         group.sample_size(10);
-        for (label, engine) in engines {
-            group.bench_with_input(BenchmarkId::new(label, name), &engine, |b, &engine| {
-                b.iter(|| tradeoff_sweep_with(&flow, &cfg(engine), &TAUS))
-            });
-        }
+        group.bench_function(BenchmarkId::new("first_detection", name), |b| {
+            b.iter(|| tradeoff_sweep_with(&flow, &cfg, &TAUS))
+        });
         group.finish();
 
         // the sweep machinery alone, on the shared ATPG base
         let mut group = c.benchmark_group("sweep_matrix");
         group.sample_size(10);
-        for (label, engine) in engines {
-            group.bench_with_input(BenchmarkId::new(label, name), &engine, |b, &engine| {
-                b.iter(|| tradeoff_sweep_from_base(&flow, &base, &cfg(engine), &TAUS))
-            });
-        }
+        group.bench_function(BenchmarkId::new("first_detection", name), |b| {
+            b.iter(|| tradeoff_sweep_from_base(&flow, &base, &cfg, &TAUS))
+        });
         group.finish();
     }
 }

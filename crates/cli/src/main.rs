@@ -22,10 +22,13 @@
 //! `FBIST_JOBS` environment variable) to size the worker pool the
 //! parallel stages run on, plus `--backend auto|dense|sparse` to pick the
 //! set-covering implementation, `--matrix-build per-row|batched|auto` to
-//! pick the Detection-Matrix construction engine and `--sweep-engine
-//! per-tau|first-detection|auto` to pick how the τ-sweep is evaluated
-//! (per-τ re-simulation vs. one shared first-detection pass) — results
-//! are identical for every job count, backend and engine.
+//! pick the Detection-Matrix construction engine and `--simd-width` to
+//! pick the fault-simulation block width — results are identical for
+//! every job count, backend, engine and width. A flag the subcommand does
+//! not read is an error naming the flag, never silently ignored.
+//!
+//! All stdout goes through one writer that treats a closed pipe (EPIPE,
+//! as in `fbist profiles | head -1`) as a clean exit.
 //!
 //! `reseed`, `sweep` and `serve` additionally accept `--store DIR` (also
 //! via the `FBIST_STORE` environment variable; `--no-store` overrides
@@ -36,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use fbist_atpg::{Atpg, AtpgConfig};
@@ -46,7 +50,7 @@ use fbist_setcover::lp;
 use fbist_store::ArtifactStore;
 use reseed_core::{
     export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
-    InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, SweepEngine, TpgKind,
+    InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
 };
 
 mod serve;
@@ -58,7 +62,7 @@ fn main() -> ExitCode {
     // invocation itself was wrong"; every other subcommand keeps the
     // classic ok/fail pair.
     if args.first().map(String::as_str) == Some("check") {
-        return match cmd_check(&args[1..]) {
+        return match check_subcommand_flags(&args).and_then(|()| cmd_check(&args[1..])) {
             Ok(findings) => ExitCode::from(u8::from(findings)),
             Err(msg) => {
                 eprintln!("fbist: {msg}");
@@ -98,18 +102,17 @@ path separator), else a built-in profile name, else an embedded circuit.
 KIND is one of add, sub, mul, lfsr, mplfsr, wrand.
 --taus takes a non-empty comma-separated list; duplicate values are
 computed once, order is preserved, and every τ (like --tau) must not
-exceed 16777215.
+exceed 16777215. A sweep shares one first-detection simulation across
+all its τ points.
 Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
 settable via the FBIST_JOBS environment variable), --backend
 auto|dense|sparse (set-covering implementation), --matrix-build
 per-row|batched|auto (Detection-Matrix construction engine; auto batches
 whenever sharing 64-lane blocks across rows saves block evaluations) and
---sweep-engine per-tau|first-detection|auto (τ-sweep evaluation; auto
-shares one first-detection simulation across all τ points whenever there
-are at least two) and --simd-width auto|1|2|4|8 (fault-simulation block
-width in 64-lane words; auto picks the widest that still shrinks the
-block count). Results are identical for every job count, backend, engine
-and SIMD width.
+--simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
+words; auto picks the widest that still shrinks the block count).
+Results are identical for every job count, backend, engine and SIMD
+width. Any other flag a subcommand does not read is an error.
 check runs the static analyses only (no simulation): structural errors,
 floating nets, unobservable logic, dead constants, provably untestable
 stuck-at faults (including learned redundancies from the static-learning
@@ -136,17 +139,14 @@ evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
 store statistics on stderr.";
 
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err("missing subcommand".into());
-    };
+    check_subcommand_flags(args)?;
+    let cmd = &args[0];
     apply_jobs(args)?;
-    // validate --backend, --matrix-build, --sweep-engine and
-    // --simd-width globally (like --jobs) so a typo can never be silently
-    // ignored by a subcommand that does not solve a cover, build a matrix
-    // or sweep
+    // validate --backend, --matrix-build and --simd-width globally (like
+    // --jobs) so a typo can never be silently ignored by a subcommand
+    // that does not solve a cover or build a matrix
     parse_backend(args)?;
     parse_matrix_build(args)?;
-    parse_sweep_engine(args)?;
     parse_simd_width(args)?;
     let rest = &args[1..];
     match cmd.as_str() {
@@ -162,11 +162,121 @@ fn run(args: &[String]) -> Result<(), String> {
         "compare" => cmd_compare(rest),
         "lp" => cmd_lp(rest),
         "serve" => serve::cmd_serve(rest),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => unreachable!("check_subcommand_flags knows every subcommand, got {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------- helpers
+
+/// A flag a subcommand reads, and whether it takes a value: a value-taking
+/// flag consumes the next token, a switch does not.
+type Flag = (&'static str, bool);
+const VALUE: bool = true;
+const SWITCH: bool = false;
+
+/// The engine knobs; with `--jobs`, every subcommand accepts them.
+const ENGINE_FLAGS: &[Flag] = &[
+    ("--backend", VALUE),
+    ("--matrix-build", VALUE),
+    ("--simd-width", VALUE),
+];
+/// Flags of the subcommands that load a circuit and run the flow on it.
+const FLOW_FLAGS: &[Flag] = &[("--scale", VALUE), ("--seed", VALUE), ("--tpg", VALUE)];
+const STORE_FLAGS: &[Flag] = &[("--store", VALUE), ("--no-store", SWITCH)];
+
+/// The flags subcommand `cmd` reads besides `--jobs` and the engine
+/// knobs, or `None` for an unknown subcommand.
+fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
+    const CIRCUIT: &[Flag] = &[("--scale", VALUE), ("--seed", VALUE)];
+    Some(match cmd {
+        "profiles" => &[],
+        "gen" => &[CIRCUIT, &[("--out", VALUE)]],
+        "stats" => &[CIRCUIT],
+        "check" => &[CIRCUIT, &[("--json", SWITCH)]],
+        "atpg" => &[
+            CIRCUIT,
+            &[("--static-prepass", SWITCH), ("--static-learning", SWITCH)],
+        ],
+        "reseed" => &[
+            FLOW_FLAGS,
+            STORE_FLAGS,
+            &[("--tau", VALUE), ("--csv", VALUE), ("--rom", VALUE)],
+        ],
+        "sweep" => &[FLOW_FLAGS, STORE_FLAGS, &[("--taus", VALUE)]],
+        "compare" | "lp" => &[FLOW_FLAGS, &[("--tau", VALUE)]],
+        "serve" => &[STORE_FLAGS],
+        _ => return None,
+    })
+}
+
+/// Rejects a missing or unknown subcommand, and any flag it does not read.
+fn check_subcommand_flags(args: &[String]) -> Result<(), String> {
+    let Some(cmd) = args.first() else {
+        return Err("missing subcommand".into());
+    };
+    let own = subcommand_flags(cmd).ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
+    let known = [&[&[("--jobs", VALUE)][..], ENGINE_FLAGS][..], own].concat();
+    check_flags(cmd, &args[1..], &known)
+}
+
+/// Rejects the first `--flag` in `args` that is in none of the `known`
+/// lists, naming it and `cmd`. The token after a value-taking flag is its
+/// value, not a flag.
+fn check_flags(cmd: &str, args: &[String], known: &[&[Flag]]) -> Result<(), String> {
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            continue;
+        }
+        let Some(&(_, takes_value)) = known
+            .iter()
+            .flat_map(|list| list.iter())
+            .find(|(name, _)| name == token)
+        else {
+            return Err(format!("unknown flag {token} for `{cmd}`"));
+        };
+        if takes_value {
+            tokens.next();
+        }
+    }
+    Ok(())
+}
+
+/// The process's stdout, treating a closed pipe (EPIPE: the reader went
+/// away, as in `fbist profiles | head -1`) as a clean exit rather than a
+/// panic or an error.
+struct Out;
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::io::stdout().write(buf).map_err(exit_on_closed_pipe)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        std::io::stdout().flush().map_err(exit_on_closed_pipe)
+    }
+}
+
+fn exit_on_closed_pipe(e: std::io::Error) -> std::io::Error {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    e
+}
+
+/// `print!` through [`Out`], propagating other write errors with `?`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(Out, $($arg)*).map_err(|e| format!("writing stdout: {e}"))?
+    };
+}
+
+/// `println!` through [`Out`], propagating other write errors with `?`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(Out, $($arg)*).map_err(|e| format!("writing stdout: {e}"))?
+    };
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -196,13 +306,6 @@ fn parse_matrix_build(args: &[String]) -> Result<MatrixBuild, String> {
     match flag(args, "--matrix-build") {
         None => Ok(MatrixBuild::Auto),
         Some(v) => MatrixBuild::parse(&v),
-    }
-}
-
-fn parse_sweep_engine(args: &[String]) -> Result<SweepEngine, String> {
-    match flag(args, "--sweep-engine") {
-        None => Ok(SweepEngine::Auto),
-        Some(v) => SweepEngine::parse(&v),
     }
 }
 
@@ -408,11 +511,11 @@ fn read_bench_file(name: &str) -> Result<Netlist, String> {
 // ------------------------------------------------------------- subcommands
 
 fn cmd_profiles() -> Result<(), String> {
-    println!("built-in circuit profiles (paper suite + extras):");
+    outln!("built-in circuit profiles (paper suite + extras):");
     for p in all_profiles() {
-        println!("  {p}");
+        outln!("  {p}");
     }
-    println!(
+    outln!(
         "worker pool: {} jobs (override with --jobs N or FBIST_JOBS)",
         mini_rayon::jobs()
     );
@@ -431,9 +534,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     match flag(args, "--out") {
         Some(path) => {
             std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {} ({})", path, NetlistStats::of(&n));
+            outln!("wrote {} ({})", path, NetlistStats::of(&n));
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -441,14 +544,14 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let n = load_circuit(args)?;
     let s = NetlistStats::of(&n);
-    println!("{s}");
-    println!("  by kind:");
+    outln!("{s}");
+    outln!("  by kind:");
     for (kind, count) in &s.by_kind {
-        println!("    {kind:<6} {count}");
+        outln!("    {kind:<6} {count}");
     }
     let faults = FaultList::full(&n);
     let collapsed = FaultList::collapsed(&n);
-    println!(
+    outln!(
         "  faults: {} full, {} collapsed ({:.1} %)",
         faults.len(),
         collapsed.len(),
@@ -464,9 +567,9 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let n = load_circuit_raw(args)?;
     let report = fbist_analyze::analyze(&n);
     if args.iter().any(|a| a == "--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(report.has_findings())
 }
@@ -480,7 +583,7 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     cfg.static_prepass = args.iter().any(|a| a == "--static-prepass");
     cfg.static_learning = args.iter().any(|a| a == "--static-learning");
     let r = atpg.run(&faults, &cfg);
-    println!(
+    outln!(
         "{}: {} patterns, coverage {:.2} % (efficiency {:.2} %), {} random-phase detections, {} PODEM tests, {} untestable, {} aborted",
         n.name(),
         r.patterns.len(),
@@ -509,15 +612,15 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag(args, "--csv") {
         std::fs::write(&path, export::to_csv(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote triplet CSV to {path}");
+        outln!("wrote triplet CSV to {path}");
     }
     if let Some(path) = flag(args, "--rom") {
         std::fs::write(&path, export::to_rom_image(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote seed ROM image to {path}");
+        outln!("wrote seed ROM image to {path}");
     }
-    println!("{report}");
-    println!(
+    outln!("{report}");
+    outln!(
         "  matrix {}x{} → residual {}x{} in {} iterations ({} dominated rows)",
         report.initial_triplets,
         report.target_faults,
@@ -526,14 +629,14 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
         report.reduction_iterations,
         report.dominated_rows
     );
-    println!(
+    outln!(
         "  solver: {} nodes, optimal: {}; ROM: {} bits",
         report.solver_nodes,
         report.solution_optimal,
         report.rom_bits()
     );
     for (i, t) in report.selected.iter().enumerate() {
-        println!(
+        outln!(
             "  triplet {:>3} {} τ={:<5} +{} faults, {} patterns{}",
             i,
             if t.necessary {
@@ -551,7 +654,7 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
             }
         );
         if i == 16 && report.selected.len() > 18 {
-            println!("  … {} more", report.selected.len() - 17);
+            outln!("  … {} more", report.selected.len() - 17);
             break;
         }
     }
@@ -565,24 +668,29 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let cfg = FlowConfig::new(tpg)
         .with_backend(parse_backend(args)?)
         .with_matrix_build(parse_matrix_build(args)?)
-        .with_sweep_engine(parse_sweep_engine(args)?)
         .with_simd_width(parse_simd_width(args)?);
     let flow = flow_for(args, &n)?;
     let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
     print_store_stats(&flow, cfg.simd_width);
-    println!(
+    outln!(
         "{} [{}] — reseedings vs. test length (Figure 2)",
         n.name(),
         tpg
     );
-    println!(
+    outln!(
         "  {:>6} {:>10} {:>12} {:>10}",
-        "tau", "#triplets", "test_length", "rom_bits"
+        "tau",
+        "#triplets",
+        "test_length",
+        "rom_bits"
     );
     for p in curve {
-        println!(
+        outln!(
             "  {:>6} {:>10} {:>12} {:>10}",
-            p.tau, p.triplets, p.test_length, p.rom_bits
+            p.tau,
+            p.triplets,
+            p.test_length,
+            p.rom_bits
         );
     }
     Ok(())
@@ -618,19 +726,19 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             ..GatsbyConfig::default()
         },
     );
-    println!(
+    outln!(
         "{} [{}] τ={tau} — set covering vs GATSBY-GA (Table 1)",
         n.name(),
         tpg
     );
-    println!(
+    outln!(
         "  set covering : {:>4} triplets, test length {:>7}, covers {}/{}",
         report.triplet_count(),
         report.test_length(),
         report.covered_faults,
         report.target_faults
     );
-    println!(
+    outln!(
         "  gatsby       : {:>4} triplets, test length {:>7}, covers {}/{} ({} fault-sim calls)",
         gres.triplet_count(),
         gres.test_length,
@@ -639,7 +747,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         gres.fault_sim_calls
     );
     let delta = gres.triplet_count() as i64 - report.triplet_count() as i64;
-    println!("  improvement  : {delta:+} triplets");
+    outln!("  improvement  : {delta:+} triplets");
     Ok(())
 }
 
@@ -653,7 +761,7 @@ fn cmd_lp(args: &[String]) -> Result<(), String> {
         .with_simd_width(parse_simd_width(args)?);
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
     let init = builder.build(&cfg);
-    print!("{}", lp::to_lp(&init.matrix));
+    out!("{}", lp::to_lp(&init.matrix));
     Ok(())
 }
 

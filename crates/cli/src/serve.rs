@@ -8,6 +8,11 @@
 //! sweep  <circuit> [--tpg KIND] [--taus 0,7,31] ...
 //! ```
 //!
+//! A request may carry only the flags its one-shot subcommand computes
+//! with (`--scale`, `--seed`, `--tpg`, `--tau` or `--taus`, and the engine
+//! knobs `--backend`, `--matrix-build`, `--simd-width`); any other flag
+//! answers `err <id>` naming it.
+//!
 //! Requests accumulate into a batch; a blank line or `flush` evaluates
 //! the batch, `quit` (or EOF) evaluates what is pending and exits, and
 //! `#`-prefixed lines are comments. Within a batch, requests that
@@ -32,16 +37,15 @@ use reseed_core::{
 };
 
 use crate::{
-    load_circuit, parse_backend, parse_matrix_build, parse_simd_width, parse_sweep_engine,
-    parse_tau, parse_taus, parse_tpg, resolve_store, simd_stats_line,
+    check_flags, load_circuit, parse_backend, parse_matrix_build, parse_simd_width, parse_tau,
+    parse_taus, parse_tpg, resolve_store, simd_stats_line, Out, ENGINE_FLAGS, FLOW_FLAGS, VALUE,
 };
 
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     let store = resolve_store(args)?;
     let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
     let stderr = std::io::stderr();
-    serve(store, stdin.lock(), &mut stdout.lock(), &mut stderr.lock())
+    serve(store, stdin.lock(), &mut Out, &mut stderr.lock())
 }
 
 /// What a request line asks for, after parsing and canonicalisation.
@@ -77,11 +81,24 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
                 .into(),
         );
     }
+    let tau_flag = match kind.as_str() {
+        "reseed" => "--tau",
+        "sweep" => "--taus",
+        other => {
+            return Err(format!(
+                "unknown request {other:?} (expected `reseed` or `sweep`)"
+            ))
+        }
+    };
+    check_flags(
+        kind,
+        rest,
+        &[FLOW_FLAGS, ENGINE_FLAGS, &[(tau_flag, VALUE)]],
+    )?;
     let netlist = load_circuit(rest)?;
     let mut config = FlowConfig::new(parse_tpg(rest)?)
         .with_backend(parse_backend(rest)?)
         .with_matrix_build(parse_matrix_build(rest)?)
-        .with_sweep_engine(parse_sweep_engine(rest)?)
         .with_simd_width(parse_simd_width(rest)?);
     match kind.as_str() {
         "reseed" => {
@@ -104,9 +121,7 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
                 digest,
             })
         }
-        other => Err(format!(
-            "unknown request {other:?} (expected `reseed` or `sweep`)"
-        )),
+        other => unreachable!("request kind {other:?} was checked above"),
     }
 }
 
@@ -392,6 +407,19 @@ mod tests {
     fn per_request_store_flags_are_rejected() {
         let (out, _) = run_serve(None, "reseed c17 --store /tmp/x\n");
         assert!(out.starts_with("err 0 per-request store flags"), "{out}");
+    }
+
+    #[test]
+    fn unknown_request_flags_answer_err_naming_the_flag() {
+        let (out, _) = run_serve(
+            None,
+            "reseed c17 --tau 1 --jobz 4\nsweep c17 --tau 3\nreseed c17 --tau 1\n",
+        );
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(lines[0].starts_with("err 0 unknown flag --jobz"), "{out}");
+        assert!(lines[1].starts_with("err 1 unknown flag --tau"), "{out}");
+        assert!(lines[2].starts_with("ok 2 "), "{out}");
     }
 
     #[test]

@@ -1,6 +1,38 @@
 //! End-to-end smoke tests of the `fbist` binary.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh directory under the system temp dir, unique to one test (test
+/// name + pid + counter) and removed on drop, so tests running in
+/// parallel never share or delete each other's files.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> TestDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("fbist-cli-{test}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir is creatable");
+        TestDir(dir)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn fbist(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
@@ -33,8 +65,7 @@ fn reseed_on_embedded_circuit() {
 
 #[test]
 fn gen_stats_roundtrip_through_file() {
-    let dir = std::env::temp_dir().join("fbist_cli_smoke");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("gen-stats");
     let path = dir.join("tiny.bench");
     let path_s = path.to_str().unwrap();
     let (ok, _, stderr) = fbist(&["gen", "tiny64", "--out", path_s]);
@@ -90,8 +121,7 @@ fn check_clean_circuit_exits_zero() {
 
 #[test]
 fn check_flags_findings_with_exit_one() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("check-findings");
     let path = dir.join("floating.bench");
     std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nz = BUFF(a)\n").unwrap();
     let (code, stdout, _) = fbist_code(&["check", path.to_str().unwrap()]);
@@ -153,8 +183,7 @@ fn check_json_testability_schema_is_stable() {
 
 #[test]
 fn check_json_reports_findings_with_severities() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("check-json-findings");
     let path = dir.join("redundant.bench");
     // OR(a, NOT a) is constant 1: an info-level untestable-fault finding,
     // which must NOT flip the exit code
@@ -183,8 +212,7 @@ fn check_usage_errors_exit_two() {
 
 #[test]
 fn check_reports_cycles_from_bench_files_by_full_path() {
-    let dir = std::env::temp_dir().join("fbist_cli_check");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("check-cycles");
     let path = dir.join("cyclic.bench");
     std::fs::write(&path, "INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)\n").unwrap();
     let (code, _, stderr) = fbist_code(&["check", path.to_str().unwrap()]);
@@ -243,14 +271,14 @@ fn unknown_circuit_error_names_every_namespace() {
 /// parse failure or a confusing `EISDIR`).
 #[test]
 fn profile_name_shadowed_by_cwd_entries_still_resolves() {
-    let dir = std::env::temp_dir().join("fbist_cli_shadow");
+    let dir = TestDir::new("shadow");
     std::fs::create_dir_all(dir.join("tiny64")).unwrap(); // directory shadow
     std::fs::write(dir.join("mid256"), "not a bench file").unwrap(); // file shadow
     std::fs::write(dir.join("c17"), "garbage").unwrap(); // embedded shadow
     for name in ["tiny64", "mid256", "c17"] {
         let out = Command::new(env!("CARGO_BIN_EXE_fbist"))
             .args(["stats", name])
-            .current_dir(&dir)
+            .current_dir(dir.path())
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -264,7 +292,7 @@ fn profile_name_shadowed_by_cwd_entries_still_resolves() {
 
 #[test]
 fn explicit_directory_path_gets_a_clear_error() {
-    let dir = std::env::temp_dir().join("fbist_cli_dirpath");
+    let dir = TestDir::new("dirpath");
     std::fs::create_dir_all(dir.join("subdir")).unwrap();
     let path = dir.join("subdir");
     let (ok, _, stderr) = fbist(&["stats", path.to_str().unwrap()]);
@@ -328,51 +356,56 @@ fn matrix_build_flag_rejects_garbage_on_every_subcommand() {
 }
 
 #[test]
-fn sweep_engine_flag_is_output_invariant() {
-    // the new first-detection engine must print byte-identical tables
-    let (ok_p, out_p, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "per-tau",
-    ]);
-    let (ok_f, out_f, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "first-detection",
-    ]);
-    let (ok_a, out_a, _) = fbist(&[
-        "sweep",
-        "tiny64",
-        "--taus",
-        "0,3,7",
-        "--sweep-engine",
-        "auto",
-    ]);
-    assert!(ok_p && ok_f && ok_a);
-    assert_eq!(out_p, out_f, "--sweep-engine must never change results");
-    assert_eq!(out_p, out_a, "--sweep-engine must never change results");
-}
-
-#[test]
-fn sweep_engine_flag_rejects_garbage_on_every_subcommand() {
-    // validated globally (like --backend and --matrix-build)
-    for args in [
-        ["sweep", "tiny64", "--sweep-engine", "pertau"],
-        ["stats", "c17", "--sweep-engine", "fast"],
+fn unknown_flags_fail_naming_the_flag() {
+    // a typo, or a knob that no longer exists like --sweep-engine, must
+    // fail instead of running as if it were absent
+    for (args, flag) in [
+        (
+            &["reseed", "c17", "--tau", "7", "--jobz", "4"][..],
+            "--jobz",
+        ),
+        (
+            &["reseed", "c17", "--tau", "7", "--taus-typo", "3"][..],
+            "--taus-typo",
+        ),
+        (
+            &["sweep", "tiny64", "--sweep-engine", "per-tau"][..],
+            "--sweep-engine",
+        ),
+        (&["stats", "c17", "--tau", "3"][..], "--tau"),
+        (&["check", "c17", "--jsn"][..], "--jsn"),
     ] {
-        let (ok, _, stderr) = fbist(&args);
-        assert!(!ok, "{args:?} must fail");
+        let (code, _, stderr) = fbist_code(args);
+        assert_ne!(code, Some(0), "{args:?} must fail");
         assert!(
-            stderr.contains("unknown sweep engine"),
+            stderr.contains(&format!("unknown flag {flag} ")),
             "{args:?}: {stderr}"
         );
     }
+    // values that look like flags belong to the flag before them
+    let (ok, _, stderr) = fbist(&["reseed", "c17", "--store", "--jobs"]);
+    assert!(!ok);
+    assert!(stderr.contains("expects a directory"), "{stderr}");
+}
+
+#[test]
+fn closed_stdout_pipe_is_a_clean_exit() {
+    // `gen xl7000` prints far more than a pipe buffer holds, so once
+    // `head` has read one line and closed the pipe the next write hits
+    // EPIPE; pipefail surfaces fbist's own exit status
+    let out = Command::new("bash")
+        .args([
+            "-c",
+            "set -o pipefail; \"$0\" gen xl7000 | head -n 1",
+            env!("CARGO_BIN_EXE_fbist"),
+        ])
+        .output()
+        .expect("bash runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status.code());
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]
@@ -481,8 +514,7 @@ fn jobs_env_var_is_honoured_and_flag_beats_it() {
 
 #[test]
 fn rom_and_csv_exports() {
-    let dir = std::env::temp_dir().join("fbist_cli_smoke");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("exports");
     let csv = dir.join("sol.csv");
     let rom = dir.join("sol.rom");
     let (ok, _, stderr) = fbist(&[

@@ -213,7 +213,7 @@ impl InitialReseedingBuilder {
             let bits = mini_rayon::par_chunks_map(jobs, &triplets, Self::ROW_CHUNK, |t| {
                 let expanded = tpg.expand(t);
                 let width = simd_width.resolve(expanded.len());
-                self.fsim.detects_wide(&expanded, target_faults, width)
+                self.fsim.run(&expanded, target_faults, width).detected
             });
             DetectionMatrix::from_rows(target_faults.len(), bits)
         };
@@ -309,7 +309,7 @@ impl InitialReseedingBuilder {
                 let expanded = tpg.expand(t);
                 let width = simd_width.resolve(expanded.len());
                 self.fsim
-                    .run_wide(&expanded, target_faults, width)
+                    .run(&expanded, target_faults, width)
                     .first_detection
                     .iter()
                     .map(|o| o.map_or(FaultSimulator::NO_DETECTION, |v| v))
@@ -325,11 +325,11 @@ impl InitialReseedingBuilder {
     /// [`first_detection_matrix_for`](Self::first_detection_matrix_for)
     /// each count one, whatever their engine or job count).
     ///
-    /// This is the sweep's efficiency contract made observable: a per-τ
-    /// sweep pays one pass per point, the
-    /// first-detection sweep pays exactly **one** pass total — asserted
-    /// in `tests/sweep_equivalence.rs` together with the
-    /// [`LaneOccupancy`](fbist_sim::LaneOccupancy) counters.
+    /// This is the sweep's efficiency contract made observable: single-τ
+    /// runs pay one pass per point, a multi-point sweep pays exactly
+    /// **one** pass total — asserted in `tests/sweep_equivalence.rs`
+    /// together with the [`LaneOccupancy`](fbist_sim::LaneOccupancy)
+    /// counters.
     pub fn matrix_sim_passes(&self) -> u64 {
         self.matrix_passes.load(Ordering::Relaxed)
     }
@@ -440,7 +440,7 @@ mod tests {
         let init = b.build(&cfg);
         let dict = b
             .fault_simulator()
-            .dictionary(&init.atpg.patterns, &init.target_faults);
+            .dictionary(&init.atpg.patterns, &init.target_faults, 1);
         for r in 0..init.matrix.rows() {
             for c in 0..init.matrix.cols() {
                 assert_eq!(init.matrix.get(r, c), dict.get(r, c), "({r},{c})");

@@ -142,7 +142,7 @@ impl ReseedingFlow {
             let triplet = &initial.triplets[row];
             let ts = tpg.expand(triplet);
             let remaining = initial.target_faults.subset(&remaining_ids);
-            let res = fsim.run(&ts, &remaining);
+            let res = fsim.run(&ts, &remaining, 1);
             let new_faults = res.detected_count();
             let (kept_triplet, test_length): (Triplet, usize) = if config.trim {
                 let useful = res.useful_prefix_len();

@@ -181,7 +181,7 @@ impl Gatsby {
                     let (delta, theta) = &population[i];
                     let triplet = Triplet::new(delta.clone(), theta.clone(), config.tau);
                     let ts = tpg.expand(&triplet);
-                    let res = self.fsim.run(&ts, &remaining);
+                    let res = self.fsim.run(&ts, &remaining, 1);
                     let fit = res.detected_count();
                     (fit, triplet, res)
                 });

@@ -53,7 +53,7 @@ mod verify;
 
 pub use area::{rom_bits_per_triplet, solution_rom_bits, AreaModel};
 pub use builder::{AtpgBase, InitialReseeding, InitialReseedingBuilder};
-pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, SweepEngine, TpgKind};
+pub use config::{check_tau, parse_tau_list, FlowConfig, MatrixBuild, TpgKind};
 pub use fbist_bits::SimdWidth;
 pub use fbist_setcover::{Backend, FirstDetectionMatrix};
 pub use flow::ReseedingFlow;

@@ -4,9 +4,8 @@
 //!
 //! A sweep point at evolution length `τ` needs the Detection Matrix whose
 //! cell `(i, j)` says "triplet `i`'s `τ + 1`-pattern expansion detects
-//! fault `j`". Historically every point re-ran a full fault simulation
-//! ([`SweepEngine::PerTau`]); the [`SweepEngine::FirstDetection`] engine
-//! replaces all of them with **one** pass at `τ_max = max(taus)`:
+//! fault `j`". Instead of one fault simulation per point, the sweep runs
+//! **one** pass at `τ_max = max(taus)`:
 //!
 //! 1. Pattern generators expand *prefix-stably*: pattern `k` of a
 //!    triplet's stream depends only on `(δ, θ, k)` — `τ` just says where
@@ -16,30 +15,29 @@
 //! 2. Detection is a monotone OR over a row's patterns, so "detected at
 //!    `τ`" ⇔ "the *earliest* detecting pattern index is `≤ τ`".
 //! 3. One simulation at `τ_max` recording that earliest index per
-//!    `(triplet, fault)` pair (free from the detection word's lowest set
-//!    lane — [`FaultSimulator::first_detections`]) therefore determines
-//!    every `τ ≤ τ_max` matrix by thresholding:
+//!    `(triplet, fault)` pair (the fault-simulation kernel's
+//!    first-index-min sink, [`FaultSimulator::first_detections_blocks`])
+//!    therefore determines every `τ ≤ τ_max` matrix by thresholding:
 //!    [`FirstDetectionMatrix::at_tau`]. No re-simulation, and *nothing to
 //!    approximate* — the thresholded matrix is the simulated one, bit for
 //!    bit.
 //!
 //! Everything per-point after the matrix (triplet `τ` fields, reduction,
-//! solving, trimming) runs from per-point configuration and seeds exactly
-//! as in the per-τ engine, so the whole [`SweepPoint`] — report included —
-//! is bit-identical between engines, for every profile × TPG × jobs ×
-//! backend × matrix-build combination (`tests/sweep_equivalence.rs`).
+//! solving, trimming) runs from per-point configuration and seeds, so
+//! every [`SweepPoint`] — report included — equals a store-less
+//! [`ReseedingFlow::run`] at its τ (`tests/sweep_equivalence.rs`). A
+//! sweep with a single missing τ and no store has nothing to amortise the
+//! shared pass over and takes `run`'s single-τ matrix path instead.
 //!
-//! [`SweepEngine::PerTau`]: crate::SweepEngine::PerTau
-//! [`SweepEngine::FirstDetection`]: crate::SweepEngine::FirstDetection
 //! [`PatternGenerator`]: fbist_tpg::PatternGenerator
-//! [`FaultSimulator::first_detections`]: fbist_fault::FaultSimulator::first_detections
+//! [`FaultSimulator::first_detections_blocks`]: fbist_fault::FaultSimulator::first_detections_blocks
 //! [`FirstDetectionMatrix::at_tau`]: fbist_setcover::FirstDetectionMatrix::at_tau
 
 use fbist_netlist::Netlist;
 use fbist_sim::SimError;
 
 use crate::builder::{AtpgBase, InitialReseedingBuilder};
-use crate::config::{FlowConfig, SweepEngine};
+use crate::config::FlowConfig;
 use crate::flow::ReseedingFlow;
 use crate::report::ReseedingReport;
 
@@ -63,18 +61,17 @@ pub struct SweepPoint {
 /// accumulator, raising the test length from 5 427 to 15 551 drops the
 /// solution from 11 to 2 triplets).
 ///
-/// The ATPG run is shared across all τ values; with the default
-/// [`SweepEngine::Auto`] the Detection-Matrix fault simulation is shared
-/// too — one first-detection pass at `max(taus)` from which every point's
-/// matrix is derived by thresholding (see the [module docs](self)).
-/// Duplicate τ values are computed once and share their point.
+/// The ATPG run is shared across all τ values, and so is the
+/// Detection-Matrix fault simulation — one first-detection pass at
+/// `max(taus)` from which every point's matrix is derived by thresholding
+/// (see the [module docs](self)). Duplicate τ values are computed once
+/// and share their point.
 ///
 /// The per-point work is independent, so points evaluate in parallel on
 /// the workspace pool (`config.jobs`; `0` = global default). Each point's
 /// RNG streams are derived from `config.seed` alone — never from the
-/// worker that happens to compute it, nor from the engine — so the curve
-/// is bit-identical for every job count and engine, and points come back
-/// in the order of `taus`.
+/// worker that happens to compute it — so the curve is bit-identical for
+/// every job count, and points come back in the order of `taus`.
 ///
 /// # Errors
 ///
@@ -142,17 +139,19 @@ pub fn tradeoff_sweep_from_base(
 ///
 /// 1. each unique τ is looked up in the store as a `cover` artifact —
 ///    warm points decode without touching ATPG or the simulator;
-/// 2. only the *missing* τ values are computed, through the usual
-///    engines (the shared first-detection pass now resolving through the
-///    `first-detection` stage, so even a cover-cold sweep can skip its
-///    simulation if an earlier run saturated the matrix artifact);
+/// 2. only the *missing* τ values are computed: by one shared
+///    first-detection pass when at least two are missing or a store is
+///    attached (the pass resolves through the `first-detection` stage, so
+///    even a cover-cold sweep can skip its simulation if an earlier run
+///    saturated the matrix artifact), else by the single-τ matrix path
+///    [`ReseedingFlow::run`] takes;
 /// 3. computed covers are written back, then every point — cached or
 ///    computed — redistributes onto the input τ list.
 ///
 /// The ATPG stage resolves lazily: a fully cover-warm sweep never runs
 /// ATPG at all (the acceptance criterion behind `fbist serve`'s warm
-/// latency). With no store attached every lookup misses and this is the
-/// historical two-engine sweep, bit for bit.
+/// latency). With no store attached every lookup misses and every point
+/// is computed.
 fn sweep_cached(
     flow: &ReseedingFlow,
     prebuilt: Option<&AtpgBase>,
@@ -190,21 +189,21 @@ fn sweep_cached(
                 &computed_base
             }
         };
-        let first_detection = match config.sweep_engine {
-            SweepEngine::PerTau => false,
-            SweepEngine::FirstDetection => true,
-            // a single-point sweep has nothing to amortise the shared pass
-            // over; with ≥ 2 distinct τ the shared pass always wins (it
-            // costs one build at max(taus), which per-τ pays for its
-            // largest point alone). With a store attached the shared pass
-            // wins even for one point: it seeds the saturating
-            // first-detection artifact that answers every later τ.
-            SweepEngine::Auto => missing.len() >= 2 || stages.is_enabled(),
-        };
-        let computed = if first_detection {
+        // with ≥ 2 missing τ the shared pass always wins (it costs one
+        // build at max(taus), which a per-τ build pays for its largest
+        // point alone); with a store attached it wins even for one point,
+        // because it seeds the saturating first-detection artifact that
+        // answers every later τ. A lone store-less point has nothing to
+        // amortise the pass over and takes `run`'s single-τ path.
+        let computed = if missing.len() >= 2 || stages.is_enabled() {
             first_detection_sweep(flow, base, config, &missing)
         } else {
-            per_tau_sweep(flow, base, config, &missing)
+            let tau = missing[0];
+            let initial = rebuild_at_tau(flow.builder(), base, tau, config);
+            vec![point_from(
+                tau,
+                flow.finish(&config.clone().with_tau(tau), &initial),
+            )]
         };
         for point in computed {
             stages.cover_put(netlist, &config.clone().with_tau(point.tau), &point.report);
@@ -237,26 +236,6 @@ fn sweep_cached(
         .collect()
 }
 
-/// The historical engine: one Detection-Matrix simulation per τ point,
-/// all sharing one ATPG run (already the efficiency argument §4 makes
-/// against simulation-driven methods). `uniq` is the sorted,
-/// deduplicated τ list.
-fn per_tau_sweep(
-    flow: &ReseedingFlow,
-    base: &AtpgBase,
-    config: &FlowConfig,
-    uniq: &[usize],
-) -> Vec<SweepPoint> {
-    let tpg = config.tpg.build(flow.builder().netlist().inputs().len());
-    mini_rayon::par_map_indexed(config.jobs, uniq.len(), |i| {
-        let tau = uniq[i];
-        let initial = rebuild_at_tau(flow.builder(), base, &tpg, tau, config);
-        let cfg = config.clone().with_tau(tau);
-        let report = flow.finish(&cfg, &initial);
-        point_from(tau, report)
-    })
-}
-
 /// The shared-simulation engine: one first-detection pass at `max(taus)`,
 /// every point's matrix derived by thresholding (module docs). `uniq` is
 /// the sorted, deduplicated τ list.
@@ -270,9 +249,9 @@ fn first_detection_sweep(
         return Vec::new();
     };
     let builder = flow.builder();
-    // unlike the per-τ engine, one shared fault-simulation pass —
-    // resolved through the first-detection stage, so a store whose
-    // artifact already saturates τ_max skips the pass entirely
+    // one shared fault-simulation pass, resolved through the
+    // first-detection stage, so a store whose artifact already saturates
+    // τ_max skips the pass entirely
     let tpg = config.tpg.build(builder.netlist().inputs().len());
     let (triplets_max, fdm) = flow
         .stages()
@@ -305,15 +284,17 @@ fn point_from(tau: usize, report: ReseedingReport) -> SweepPoint {
     }
 }
 
+/// The single-τ initial reseeding on a prebuilt base — the matrix path
+/// [`ReseedingFlow::run`] takes without a store.
 fn rebuild_at_tau(
     builder: &InitialReseedingBuilder,
     base: &AtpgBase,
-    tpg: &dyn fbist_tpg::PatternGenerator,
     tau: usize,
     config: &FlowConfig,
 ) -> crate::builder::InitialReseeding {
+    let tpg = config.tpg.build(builder.netlist().inputs().len());
     let (triplets, matrix) = builder.matrix_for(
-        tpg,
+        &*tpg,
         &base.atpg.patterns,
         &base.target_faults,
         tau,
@@ -343,7 +324,7 @@ mod tests {
         // happens to be monotone too, but that is an empirical property of
         // the instance — the greedy/local-search solver does not guarantee
         // it, so it is no longer asserted here; see
-        // `engine_choice_never_changes_the_curve` for the determinism pin.)
+        // `points_equal_single_tau_runs` for the determinism pin.)
         let n = generate(&profile("tiny64").unwrap(), 4);
         let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Adder), &[0, 3, 15, 63]).unwrap();
         assert_eq!(curve.len(), 4);
@@ -438,88 +419,48 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_never_changes_the_curve() {
+    fn points_equal_single_tau_runs() {
         // duplicated and unsorted τ values exercise the dedup/reorder path
         let n = generate(&profile("tiny64").unwrap(), 4);
         let taus = [15, 0, 3, 3, 15];
-        let curve = |engine: SweepEngine| {
-            tradeoff_sweep(
-                &n,
-                &FlowConfig::new(TpgKind::Adder).with_sweep_engine(engine),
-                &taus,
-            )
-            .unwrap()
-        };
-        let per_tau = curve(SweepEngine::PerTau);
-        assert_eq!(per_tau.len(), taus.len());
-        assert_eq!(per_tau[0], per_tau[4], "duplicate τ points are identical");
-        assert_eq!(
-            per_tau,
-            curve(SweepEngine::FirstDetection),
-            "first-detection curve differs"
-        );
-        assert_eq!(per_tau, curve(SweepEngine::Auto), "auto curve differs");
+        let cfg = FlowConfig::new(TpgKind::Adder);
+        let curve = tradeoff_sweep(&n, &cfg, &taus).unwrap();
+        assert_eq!(curve.len(), taus.len());
+        assert_eq!(curve[0], curve[4], "duplicate τ points are identical");
+        let flow = ReseedingFlow::new(&n).unwrap();
+        for (p, &tau) in curve.iter().zip(&taus) {
+            assert_eq!(p.report, flow.run(&cfg.clone().with_tau(tau)), "τ={tau}");
+        }
     }
 
     #[test]
-    fn first_detection_runs_one_simulation_pass() {
+    fn multi_point_sweep_runs_one_simulation_pass() {
         let n = generate(&profile("tiny64").unwrap(), 4);
-        let taus = [0, 3, 7, 15];
         let flow = ReseedingFlow::new(&n).unwrap();
-        let fd = tradeoff_sweep_with(
-            &flow,
-            &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::FirstDetection),
-            &taus,
-        );
+        let _ = tradeoff_sweep_with(&flow, &FlowConfig::new(TpgKind::Adder), &[0, 3, 7, 15]);
         assert_eq!(
             flow.builder().matrix_sim_passes(),
             1,
-            "first-detection must simulate exactly once"
+            "the sweep must simulate exactly once"
         );
-        flow.builder().reset_matrix_sim_passes();
-        let pt = tradeoff_sweep_with(
-            &flow,
-            &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::PerTau),
-            &taus,
-        );
-        assert_eq!(
-            flow.builder().matrix_sim_passes(),
-            taus.len() as u64,
-            "per-τ pays one pass per point"
-        );
-        assert_eq!(fd, pt);
     }
 
     #[test]
-    fn auto_uses_shared_pass_only_for_multi_point_sweeps() {
+    fn single_point_sweep_takes_the_single_tau_path() {
         let n = generate(&profile("tiny64").unwrap(), 4);
         let flow = ReseedingFlow::new(&n).unwrap();
         let cfg = FlowConfig::new(TpgKind::Adder);
-        // single distinct τ (even duplicated): per-τ path, and the
-        // duplicate shares its point — one pass total
-        let _ = tradeoff_sweep_with(&flow, &cfg, &[7, 7]);
+        // a single distinct τ (even duplicated) is one `matrix_for` pass,
+        // and the duplicate shares its point
+        let curve = tradeoff_sweep_with(&flow, &cfg, &[7, 7]);
         assert_eq!(flow.builder().matrix_sim_passes(), 1);
-        flow.builder().reset_matrix_sim_passes();
-        // two distinct τ: the shared pass
-        let _ = tradeoff_sweep_with(&flow, &cfg, &[7, 15]);
-        assert_eq!(flow.builder().matrix_sim_passes(), 1);
+        assert_eq!(curve[0].report, flow.run(&cfg.clone().with_tau(7)));
     }
 
     #[test]
     fn empty_tau_list_yields_empty_curve() {
         let n = generate(&profile("tiny64").unwrap(), 4);
-        for engine in [
-            SweepEngine::PerTau,
-            SweepEngine::FirstDetection,
-            SweepEngine::Auto,
-        ] {
-            let curve = tradeoff_sweep(
-                &n,
-                &FlowConfig::new(TpgKind::Adder).with_sweep_engine(engine),
-                &[],
-            )
-            .unwrap();
-            assert!(curve.is_empty(), "{engine}");
-        }
+        let curve = tradeoff_sweep(&n, &FlowConfig::new(TpgKind::Adder), &[]).unwrap();
+        assert!(curve.is_empty());
     }
 }

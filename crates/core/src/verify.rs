@@ -56,7 +56,7 @@ pub fn verify_against(
         patterns.extend(generator.expand(&sel.triplet));
     }
     let fsim = FaultSimulator::new(netlist)?;
-    let covered = fsim.detects(&patterns, target).count_ones();
+    let covered = fsim.run(&patterns, target, 1).detected_count();
     Ok(Verification {
         covered,
         target: target.len(),

@@ -16,13 +16,13 @@
 //! Detection attribution is exact: a row detects a fault iff *some* lane
 //! of *some* of its groups differs at a primary output, which is precisely
 //! the per-row criterion — so the batched matrix is bit-identical to the
-//! per-row one (see [`FaultSimulator::detects_batch`]). The same argument
+//! per-row one (see [`FaultSimulator::detects_blocks`]). The same argument
 //! makes the result independent of `W`: a `W`-wide block is exactly `W`
 //! consecutive 64-lane blocks evaluated together, lanes keep their flat
 //! stream order, and detection ORs / first-detection minimums reduce in
 //! that order.
 //!
-//! [`FaultSimulator::detects_batch`]: crate::FaultSimulator::detects_batch
+//! [`FaultSimulator::detects_blocks`]: crate::FaultSimulator::detects_blocks
 
 use fbist_bits::{pack, SimWord, SIMD_WIDTHS};
 
@@ -79,7 +79,7 @@ pub struct BatchBlock {
 /// is a pure function of `(row_lengths, width)`, so a plan computed once
 /// can drive any number of simulations and any partition of its blocks
 /// across workers. The width is carried by the plan, which is how the
-/// batched fault-simulation engines know which monomorphised sweep to
+/// fault-simulation kernel knows which monomorphised block loop to
 /// dispatch to.
 ///
 /// # Example

@@ -101,14 +101,14 @@ mod tests {
             let full = FaultList::collapsed(&n);
             let patterns = exhaustive(w);
             // build a minimal-ish pattern subset achieving checkpoint cover
-            let run = sim.run(&patterns, &cps);
+            let run = sim.run(&patterns, &cps, 1);
             let subset: Vec<BitVec> = run
                 .first_detection
                 .iter()
                 .flatten()
                 .map(|&p| patterns[p as usize].clone())
                 .collect();
-            let cp_cov = sim.detects(&subset, &cps).count_ones();
+            let cp_cov = sim.run(&subset, &cps, 1).detected_count();
             assert_eq!(
                 cp_cov,
                 cps.len(),
@@ -116,8 +116,8 @@ mod tests {
                 n.name()
             );
             // theorem check: the subset also covers every detectable fault
-            let full_cov = sim.detects(&subset, &full).count_ones();
-            let full_all = sim.detects(&patterns, &full).count_ones();
+            let full_cov = sim.run(&subset, &full, 1).detected_count();
+            let full_all = sim.run(&patterns, &full, 1).detected_count();
             assert_eq!(
                 full_cov,
                 full_all,

@@ -11,12 +11,17 @@
 //! * [`collapse`] — structural equivalence collapsing (union-find over the
 //!   textbook gate rules), which shrinks the universe ~2.5× without losing
 //!   information;
-//! * [`FaultSimulator`] — a 64-way bit-parallel, event-driven ("single
-//!   fault propagation") fault simulator with fault dropping, plus a
-//!   detection-dictionary builder;
-//! * [`BatchPlan`] — the cross-row batch planner behind
-//!   [`FaultSimulator::detects_batch`], which fills every simulation lane
-//!   when many rows are simulated at once.
+//! * [`FaultSimulator`] — a bit-parallel, event-driven ("single fault
+//!   propagation") fault simulator: one width-generic kernel that reports
+//!   into an OR-detect, first-index-min or dictionary sink, behind four
+//!   entry points — [`run`](FaultSimulator::run) and
+//!   [`dictionary`](FaultSimulator::dictionary) for one pattern stream,
+//!   [`detects_blocks`](FaultSimulator::detects_blocks) and
+//!   [`first_detections_blocks`](FaultSimulator::first_detections_blocks)
+//!   for block ranges of a many-row plan;
+//! * [`BatchPlan`] — the cross-row batch planner the kernel runs over,
+//!   which fills every simulation lane when many rows are simulated at
+//!   once (a single stream is a one-row plan).
 //!
 //! # Cross-row batching: lane groups and masked dropping
 //!
@@ -49,7 +54,8 @@
 //! already detected, i.e. when the OR is already 1, so the skipped lane
 //! could only have re-confirmed a known detection (the same argument that
 //! makes classical per-row fault dropping exact). The batched matrix is
-//! therefore bit-identical to the per-row one — pinned for every
+//! therefore bit-identical to the per-row one — checked against the naive
+//! [`reference`] simulator in this crate's tests and pinned for every
 //! profile × TPG × `jobs` × `τ` combination by the
 //! `batched_matrix_equivalence` suite.
 //!
@@ -65,8 +71,8 @@
 //! let sim = FaultSimulator::new(&c17)?;
 //! // Exhaustive patterns detect every c17 fault.
 //! let patterns: Vec<BitVec> = (0..32u64).map(|v| BitVec::from_u64(5, v)).collect();
-//! let detected = sim.detects(&patterns, &faults);
-//! assert_eq!(detected.count_ones(), faults.len());
+//! let res = sim.run(&patterns, &faults, 1);
+//! assert_eq!(res.detected_count(), faults.len());
 //! # Ok::<(), fbist_sim::SimError>(())
 //! ```
 

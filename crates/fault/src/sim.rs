@@ -1,8 +1,16 @@
 //! Bit-parallel, event-driven single-fault-propagation simulator.
+//!
+//! Every simulation runs through one kernel: a width-generic block loop
+//! over a [`BatchPlan`] that reports each row's detections into a small
+//! result sink — OR-detect, first-index-min, or the dictionary (every hit
+//! lane, no dropping). Single-stream simulation ([`FaultSimulator::run`],
+//! [`FaultSimulator::dictionary`]) is the kernel on a one-row plan; the
+//! Detection-Matrix builds call it on many-row plans, one block range at
+//! a time.
 
 use std::ops::Range;
 
-use fbist_bits::{pack, BitMatrix, BitVec, SimWord, SIMD_WIDTHS};
+use fbist_bits::{pack, BitMatrix, BitVec, SimWord};
 use fbist_netlist::{CsrAdjacency, GateId, GateKind, Netlist};
 use fbist_sim::{PackedSimulator, SimError};
 
@@ -69,7 +77,7 @@ impl FaultSimResult {
 ///
 /// let sim = FaultSimulator::new(&embedded::c17())?;
 /// let faults = FaultList::collapsed(sim.netlist());
-/// let res = sim.run(&[BitVec::ones(5)], &faults);
+/// let res = sim.run(&[BitVec::ones(5)], &faults, 1);
 /// assert!(res.coverage() > 0.0);
 /// # Ok::<(), fbist_sim::SimError>(())
 /// ```
@@ -175,159 +183,53 @@ impl FaultSimulator {
         &self.sim
     }
 
-    /// Simulates the pattern set against the fault list **with fault
-    /// dropping**, returning one bit per fault: detected or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn detects(&self, patterns: &[BitVec], faults: &FaultList) -> BitVec {
-        self.run(patterns, faults).detected
-    }
-
-    /// [`detects`](Self::detects) at an explicit SIMD width (`1`, `2`,
-    /// `4` or `8` words per block) — bit-identical at every width.
+    /// Simulates one pattern stream against the fault list **with fault
+    /// dropping**, recording each fault's first detecting pattern — the
+    /// kernel on a one-row plan with the first-index-min sink, stopping as
+    /// soon as every fault is dropped. `width_words` (`1`, `2`, `4` or
+    /// `8` words per block) only changes throughput: lanes keep their
+    /// flat stream order, so every width yields the identical result.
     ///
     /// # Panics
     ///
     /// Panics if `width_words` is unsupported or a pattern's width
     /// differs from the input count.
-    pub fn detects_wide(
-        &self,
-        patterns: &[BitVec],
-        faults: &FaultList,
-        width_words: usize,
-    ) -> BitVec {
-        self.run_wide(patterns, faults, width_words).detected
-    }
-
-    /// Simulates the pattern set against the fault list with dropping,
-    /// recording each fault's first detecting pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn run(&self, patterns: &[BitVec], faults: &FaultList) -> FaultSimResult {
-        self.run_wide(patterns, faults, 1)
-    }
-
-    /// [`run`](Self::run) at an explicit SIMD width. Pattern lanes keep
-    /// their flat stream order inside each `64·W`-lane block, so the
-    /// detected set *and* every first-detection index are byte-identical
-    /// at every width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn run_wide(
+    pub fn run(
         &self,
         patterns: &[BitVec],
         faults: &FaultList,
         width_words: usize,
     ) -> FaultSimResult {
-        match width_words {
-            1 => self.run_w::<1>(patterns, faults),
-            2 => self.run_w::<2>(patterns, faults),
-            4 => self.run_w::<4>(patterns, faults),
-            8 => self.run_w::<8>(patterns, faults),
-            w => panic!("unsupported SIMD width {w} (expected one of {SIMD_WIDTHS:?})"),
-        }
+        self.single_row(patterns, faults, width_words)
     }
 
-    fn run_w<const W: usize>(&self, patterns: &[BitVec], faults: &FaultList) -> FaultSimResult {
-        let n = self.netlist().gate_count();
-        let lanes = SimWord::<W>::LANES;
-        let mut good = vec![SimWord::<W>::ZERO; n];
-        let mut scratch = Scratch::<W>::new(n);
-        let mut detected = BitVec::zeros(faults.len());
-        let mut first_detection = vec![None; faults.len()];
-        let mut remaining = faults.len();
-
-        for (block_idx, chunk) in patterns.chunks(lanes).enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            let base = (block_idx * lanes) as u32;
-            let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
-            self.sim.eval_block_into_w(&pi_words, &mut good);
-            self.sim.record_occupancy_wide(chunk.len(), lanes);
-            let lane_mask = pack::lane_mask_w::<W>(chunk.len());
-            for (fid, fault) in faults.iter() {
-                if detected.get(fid.index()) {
-                    continue;
-                }
-                let det = self.propagate(&good, fault, &mut scratch) & lane_mask;
-                if !det.is_zero() {
-                    detected.set(fid.index(), true);
-                    first_detection[fid.index()] = Some(base + det.trailing_zeros());
-                    remaining -= 1;
-                }
-            }
-        }
-        FaultSimResult {
-            detected,
-            first_detection,
-            total_faults: faults.len(),
-        }
-    }
-
-    /// Cross-row batched fault simulation: simulates many rows' pattern
-    /// streams through shared 64-lane blocks (see [`BatchPlan`]) and
-    /// returns, per row, the set of detected faults.
+    /// Builds the full pattern × fault detection dictionary (no dropping):
+    /// cell `(p, f)` is 1 iff pattern `p` detects fault `f` — the kernel
+    /// on a one-row plan with the dictionary sink. Identical at every
+    /// `width_words`.
     ///
-    /// The good circuit is evaluated once per *shared* block and every
-    /// fault's cone is propagated once per shared block — against the
-    /// per-row [`detects`](Self::detects) loop this cuts both counts by
-    /// up to `64 / (τ + 1)` while producing **bit-identical rows**:
-    /// `detects_batch(rows, f)[i] == detects(&rows[i], f)` for every `i`.
-    /// Detection of a row is the OR of its lanes' primary-output
-    /// differences, which does not depend on which block a lane lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn detects_batch(&self, rows: &[Vec<BitVec>], faults: &FaultList) -> Vec<BitVec> {
-        self.detects_batch_wide(rows, faults, 1)
-    }
-
-    /// [`detects_batch`](Self::detects_batch) over shared blocks of an
-    /// explicit SIMD width — bit-identical rows at every width.
+    /// With the paper's triplet-expansion convention and `τ = 0`, this *is*
+    /// the initial Detection Matrix.
     ///
     /// # Panics
     ///
     /// Panics if `width_words` is unsupported or a pattern's width
     /// differs from the input count.
-    pub fn detects_batch_wide(
+    pub fn dictionary(
         &self,
-        rows: &[Vec<BitVec>],
+        patterns: &[BitVec],
         faults: &FaultList,
         width_words: usize,
-    ) -> Vec<BitVec> {
-        let lengths: Vec<usize> = rows.iter().map(|r| r.len()).collect();
-        let plan = BatchPlan::with_width(&lengths, width_words);
-        let mut out = vec![BitVec::zeros(faults.len()); rows.len()];
-        for (row, bits) in self.detects_blocks(&plan, 0..plan.block_count(), rows, faults) {
-            out[row].union_with(&bits);
-        }
-        out
+    ) -> BitMatrix {
+        self.single_row(patterns, faults, width_words)
     }
 
     /// Simulates a consecutive range of a [`BatchPlan`]'s blocks and
-    /// returns `(row, detected)` partials for the rows whose lane groups
-    /// appear in the range. Rows straddling the range boundary come back
-    /// partial; OR the partials of all ranges to recover
-    /// [`detects_batch`](Self::detects_batch) — any partition of the
-    /// block axis yields the same union, which is what lets callers fan
-    /// ranges out across a worker pool.
-    ///
-    /// Within the range, *masked dropping* is applied: once every row
-    /// with lanes in a later block has already detected a fault inside
-    /// this range, the fault's propagation is skipped for that block.
-    /// Dropping can never change a row's detected set — detection is a
-    /// monotone OR over lanes, so skipping lanes that can only re-detect
-    /// an already-detected `(row, fault)` pair removes redundant work
-    /// only (the same argument that makes per-row fault dropping exact).
+    /// returns `(row, detected)` partials (the OR-detect sink) for the
+    /// rows whose lane groups appear in the range. Rows straddling the
+    /// range boundary come back partial; the union of the partials of any
+    /// partition of the block axis is each row's detected set, which is
+    /// what lets callers fan ranges out across a worker pool.
     ///
     /// # Panics
     ///
@@ -341,220 +243,30 @@ impl FaultSimulator {
         rows: &[Vec<BitVec>],
         faults: &FaultList,
     ) -> Vec<(usize, BitVec)> {
-        self.blocks_sweep(
-            plan,
-            range,
-            rows,
-            faults,
-            || BitVec::zeros(faults.len()),
-            |partial, fi| !partial.get(fi),
-            |partial, fi, _first_idx| partial.set(fi, true),
-        )
-    }
-
-    /// The shared block loop of both batched engines: packs each shared
-    /// block, evaluates the good circuit once, builds every fault's
-    /// masked-dropping lane mask from the rows `alive` still admits,
-    /// propagates only when the mask is nonzero, and reports each hit
-    /// group to `record` together with the row-local index of its lowest
-    /// detecting lane (= the group's earliest hit pattern).
-    ///
-    /// [`detects_blocks`](Self::detects_blocks) and
-    /// [`first_detections_blocks`](Self::first_detections_blocks) are
-    /// both this loop with different partials, so their packing,
-    /// occupancy accounting, masked dropping and lane attribution cannot
-    /// drift apart — which is half of the first-detection engine's
-    /// bit-identity contract. The plan carries the SIMD width; this
-    /// dispatches to the monomorphised sweep for it.
-    #[allow(clippy::too_many_arguments)]
-    fn blocks_sweep<P>(
-        &self,
-        plan: &BatchPlan,
-        range: Range<usize>,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        new_partial: impl Fn() -> P,
-        alive: impl Fn(&P, usize) -> bool,
-        record: impl FnMut(&mut P, usize, u32),
-    ) -> Vec<(usize, P)> {
-        match plan.width_words() {
-            1 => self.blocks_sweep_w::<1, P>(plan, range, rows, faults, new_partial, alive, record),
-            2 => self.blocks_sweep_w::<2, P>(plan, range, rows, faults, new_partial, alive, record),
-            4 => self.blocks_sweep_w::<4, P>(plan, range, rows, faults, new_partial, alive, record),
-            8 => self.blocks_sweep_w::<8, P>(plan, range, rows, faults, new_partial, alive, record),
-            w => unreachable!("BatchPlan guarantees a supported width, got {w}"),
-        }
-    }
-
-    /// The width-`W` monomorphisation of the shared block loop. Lane
-    /// groups address the flat `0..64·W` lane space and all detection
-    /// words are [`SimWord<W>`]; everything else is identical to the
-    /// classic 64-lane loop, which *is* the `W = 1` instantiation.
-    #[allow(clippy::too_many_arguments)]
-    fn blocks_sweep_w<const W: usize, P>(
-        &self,
-        plan: &BatchPlan,
-        range: Range<usize>,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        new_partial: impl Fn() -> P,
-        alive: impl Fn(&P, usize) -> bool,
-        mut record: impl FnMut(&mut P, usize, u32),
-    ) -> Vec<(usize, P)> {
-        debug_assert_eq!(
-            plan.width_words(),
-            W,
-            "plan width / monomorphisation mismatch"
-        );
-        let blocks = &plan.blocks()[range];
-        if blocks.is_empty() {
-            return Vec::new();
-        }
-        // Streams are concatenated in row order, so a block range touches
-        // a consecutive row span.
-        let first_row = blocks[0].groups[0].row as usize;
-        let last_row = blocks[blocks.len() - 1]
-            .groups
-            .last()
-            .expect("nonempty")
-            .row as usize;
-        let mut partial: Vec<P> = (first_row..=last_row).map(|_| new_partial()).collect();
-
-        let n = self.netlist().gate_count();
-        let mut good = vec![SimWord::<W>::ZERO; n];
-        let mut scratch = Scratch::<W>::new(n);
-        let mut pi_words = vec![SimWord::<W>::ZERO; self.sim.input_count()];
-        for block in blocks {
-            pi_words.fill(SimWord::ZERO);
-            for g in &block.groups {
-                let row = &rows[g.row as usize];
-                let start = g.start as usize;
-                pack::pack_patterns_at_w(
-                    &mut pi_words,
-                    g.lane_offset as usize,
-                    &row[start..start + g.len as usize],
-                );
-            }
-            self.sim.eval_block_into_w(&pi_words, &mut good);
-            self.sim
-                .record_occupancy_wide(block.lanes_used, SimWord::<W>::LANES);
-            for (fid, fault) in faults.iter() {
-                let fi = fid.index();
-                let mut mask = SimWord::<W>::ZERO;
-                for g in &block.groups {
-                    if alive(&partial[g.row as usize - first_row], fi) {
-                        mask |= g.mask_w();
-                    }
-                }
-                if mask.is_zero() {
-                    continue; // masked dropping: nobody here still needs it
-                }
-                let det = self.propagate(&good, fault, &mut scratch) & mask;
-                if det.is_zero() {
-                    continue;
-                }
-                for g in &block.groups {
-                    let hit = det & g.mask_w();
-                    if !hit.is_zero() {
-                        // the mask only admitted alive rows, and lanes
-                        // ascend in stream order, so the lowest set lane
-                        // is the group's earliest hit pattern
-                        let first_idx = g.start + (hit.trailing_zeros() - g.lane_offset as u32);
-                        record(&mut partial[g.row as usize - first_row], fi, first_idx);
-                    }
-                }
-            }
-        }
-        partial
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (first_row + i, p))
-            .collect()
+        self.kernel(plan, range, rows, faults)
     }
 
     /// Sentinel first-detection index: the pair was never detected.
     ///
-    /// Used by [`first_detections`](Self::first_detections) and
-    /// [`first_detections_blocks`](Self::first_detections_blocks) instead
-    /// of `Option<u32>` so partials can be merged with a plain elementwise
-    /// `min` (the sentinel is the identity of `min`). Real pattern indices
-    /// are always `< u32::MAX`; the flow layer bounds `τ` far below that
-    /// (`FlowConfig::MAX_TAU`).
+    /// The first-index-min sink stores it instead of `Option<u32>` so
+    /// partials merge with a plain elementwise `min` (the sentinel is the
+    /// identity of `min`). Real pattern indices are always `< u32::MAX`;
+    /// the flow layer bounds `τ` far below that (`FlowConfig::MAX_TAU`).
     pub const NO_DETECTION: u32 = u32::MAX;
 
-    /// Cross-row batched *first-detection* simulation: for every row and
-    /// every fault, the index (within the row's own pattern stream) of the
-    /// **earliest** pattern that detects the fault, or
-    /// [`NO_DETECTION`](Self::NO_DETECTION).
+    /// Simulates a consecutive range of a [`BatchPlan`]'s blocks and
+    /// returns `(row, first_indices)` partials (the first-index-min sink):
+    /// for each row with lane groups in the range, the earliest detecting
+    /// pattern index of the row's own stream *within the range* per fault
+    /// ([`NO_DETECTION`](Self::NO_DETECTION) if the range detects nothing
+    /// for that pair).
     ///
     /// This is the engine behind the single-simulation τ-sweep: detection
-    /// at evolution length `τ` is a prefix property — row `i` detects
-    /// fault `j` at `τ` iff `first[i][j] ≤ τ` — so one pass at the largest
-    /// `τ` yields every smaller τ's detection matrix by thresholding.
-    ///
-    /// The index costs nothing extra on top of
-    /// [`detects_batch`](Self::detects_batch): lanes of a [`LaneGroup`]
-    /// carry the row's patterns in ascending stream order and blocks are
-    /// visited in ascending stream order, so the *lowest set lane* of the
-    /// first nonzero masked detection word **is** the first detection —
-    /// exactly the lane masked dropping stops at anyway.
-    ///
-    /// Equivalence: `first_detections(rows, f)[i][j] != NO_DETECTION` iff
-    /// `detects_batch(rows, f)[i]` has bit `j` set, and the index equals
-    /// `run(&rows[i], f).first_detection[j]`.
-    ///
-    /// [`LaneGroup`]: crate::LaneGroup
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn first_detections(&self, rows: &[Vec<BitVec>], faults: &FaultList) -> Vec<Vec<u32>> {
-        self.first_detections_wide(rows, faults, 1)
-    }
-
-    /// [`first_detections`](Self::first_detections) over shared blocks of
-    /// an explicit SIMD width. First-detection indices are minimums over
-    /// the flat lane stream, which is the same stream at every width, so
-    /// every index is byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn first_detections_wide(
-        &self,
-        rows: &[Vec<BitVec>],
-        faults: &FaultList,
-        width_words: usize,
-    ) -> Vec<Vec<u32>> {
-        let lengths: Vec<usize> = rows.iter().map(|r| r.len()).collect();
-        let plan = BatchPlan::with_width(&lengths, width_words);
-        let mut out = vec![vec![Self::NO_DETECTION; faults.len()]; rows.len()];
-        merge_first_detections(
-            &mut out,
-            self.first_detections_blocks(&plan, 0..plan.block_count(), rows, faults),
-        );
-        out
-    }
-
-    /// Simulates a consecutive range of a [`BatchPlan`]'s blocks and
-    /// returns `(row, first_indices)` partials: for each row with lane
-    /// groups in the range, the earliest detecting pattern index *within
-    /// the range* per fault ([`NO_DETECTION`](Self::NO_DETECTION) if the
-    /// range detects nothing for that pair).
-    ///
-    /// Merging partials with an elementwise `min` recovers
-    /// [`first_detections`](Self::first_detections) for **any** partition
-    /// of the block axis: the global first detection is the minimum over
-    /// the per-range first detections (`min` is associative, commutative
-    /// and has `NO_DETECTION` as identity), which is what lets callers fan
-    /// ranges out across a worker pool without changing a single index.
-    ///
-    /// Masked dropping applies exactly as in
-    /// [`detects_blocks`](Self::detects_blocks): once a row's first index
-    /// for a fault is fixed inside the range, later blocks can only offer
-    /// larger indices (lanes ascend in stream order), so skipping them
-    /// cannot change the minimum.
+    /// at evolution length `τ` is a prefix property — a row detects fault
+    /// `j` at `τ` iff its first index is `≤ τ` — so one pass at the
+    /// largest `τ` yields every smaller τ's matrix by thresholding.
+    /// Merging partials with [`merge_first_detections`] recovers the
+    /// per-row indices for **any** partition of the block axis.
     ///
     /// # Panics
     ///
@@ -568,75 +280,135 @@ impl FaultSimulator {
         rows: &[Vec<BitVec>],
         faults: &FaultList,
     ) -> Vec<(usize, Vec<u32>)> {
-        self.blocks_sweep(
-            plan,
-            range,
-            rows,
-            faults,
-            || vec![Self::NO_DETECTION; faults.len()],
-            |partial, fi| partial[fi] == Self::NO_DETECTION,
-            |partial, fi, first_idx| partial[fi] = first_idx,
-        )
+        self.kernel(plan, range, rows, faults)
     }
 
-    /// Builds the full pattern × fault detection dictionary (no dropping):
-    /// cell `(p, f)` is 1 iff pattern `p` detects fault `f`.
-    ///
-    /// With the paper's triplet-expansion convention and `τ = 0`, this *is*
-    /// the initial Detection Matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's width differs from the input count.
-    pub fn dictionary(&self, patterns: &[BitVec], faults: &FaultList) -> BitMatrix {
-        self.dictionary_wide(patterns, faults, 1)
-    }
-
-    /// [`dictionary`](Self::dictionary) at an explicit SIMD width —
-    /// bit-identical cells at every width (lane `k` of a `64·W`-lane
-    /// block is pattern `base + k` either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_words` is unsupported or a pattern's width
-    /// differs from the input count.
-    pub fn dictionary_wide(
+    /// The kernel on a one-row plan over `patterns`: the single-stream
+    /// entry points' shared body.
+    fn single_row<S: Sink>(
         &self,
         patterns: &[BitVec],
         faults: &FaultList,
         width_words: usize,
-    ) -> BitMatrix {
-        match width_words {
-            1 => self.dictionary_w::<1>(patterns, faults),
-            2 => self.dictionary_w::<2>(patterns, faults),
-            4 => self.dictionary_w::<4>(patterns, faults),
-            8 => self.dictionary_w::<8>(patterns, faults),
-            w => panic!("unsupported SIMD width {w} (expected one of {SIMD_WIDTHS:?})"),
+    ) -> S {
+        let plan = BatchPlan::with_width(&[patterns.len()], width_words);
+        self.kernel(&plan, 0..plan.block_count(), &[patterns], faults)
+            .pop()
+            .map_or_else(|| S::new(patterns.len(), faults.len()), |(_, sink)| sink)
+    }
+
+    /// The one fault-simulation kernel: dispatches on the plan's SIMD
+    /// width to the monomorphised block loop.
+    fn kernel<S: Sink, R: AsRef<[BitVec]>>(
+        &self,
+        plan: &BatchPlan,
+        range: Range<usize>,
+        rows: &[R],
+        faults: &FaultList,
+    ) -> Vec<(usize, S)> {
+        match plan.width_words() {
+            1 => self.kernel_w::<1, S, R>(plan, range, rows, faults),
+            2 => self.kernel_w::<2, S, R>(plan, range, rows, faults),
+            4 => self.kernel_w::<4, S, R>(plan, range, rows, faults),
+            8 => self.kernel_w::<8, S, R>(plan, range, rows, faults),
+            w => unreachable!("BatchPlan guarantees a supported width, got {w}"),
         }
     }
 
-    fn dictionary_w<const W: usize>(&self, patterns: &[BitVec], faults: &FaultList) -> BitMatrix {
+    /// The block loop: packs each shared block, evaluates the good
+    /// circuit once, builds every fault's lane mask from the groups whose
+    /// row sink still wants the fault (*masked dropping*), propagates only
+    /// when the mask is nonzero, and reports each hit group to its row's
+    /// sink — the group's lowest hit lane for dropping sinks, every hit
+    /// lane for the dictionary. Lanes ascend in stream order, so the
+    /// lowest hit lane is the group's earliest detecting pattern, and
+    /// skipping a dropped `(row, fault)` pair can never change an
+    /// OR-detect or a first-index-min result. Once every pair of the
+    /// range is dropped the loop stops: later blocks can change nothing.
+    fn kernel_w<const W: usize, S: Sink, R: AsRef<[BitVec]>>(
+        &self,
+        plan: &BatchPlan,
+        range: Range<usize>,
+        rows: &[R],
+        faults: &FaultList,
+    ) -> Vec<(usize, S)> {
+        let blocks = &plan.blocks()[range];
+        let (Some(first), Some(last)) = (blocks.first(), blocks.last()) else {
+            return Vec::new();
+        };
+        // Streams are concatenated in row order, so a block range touches
+        // a consecutive row span.
+        let first_row = first.groups[0].row as usize;
+        let last_row = last.groups.last().expect("blocks are never empty").row as usize;
+        let mut sinks: Vec<S> = (first_row..=last_row)
+            .map(|r| S::new(rows[r].as_ref().len(), faults.len()))
+            .collect();
+        let mut undropped = if S::EVERY_LANE {
+            usize::MAX
+        } else {
+            sinks.len() * faults.len()
+        };
+
         let n = self.netlist().gate_count();
-        let lanes = SimWord::<W>::LANES;
         let mut good = vec![SimWord::<W>::ZERO; n];
         let mut scratch = Scratch::<W>::new(n);
-        let mut m = BitMatrix::new(patterns.len(), faults.len());
-        for (block_idx, chunk) in patterns.chunks(lanes).enumerate() {
-            let base = block_idx * lanes;
-            let pi_words = pack::pack_patterns_w::<W>(self.sim.input_count(), chunk);
+        let mut pi_words = vec![SimWord::<W>::ZERO; self.sim.input_count()];
+        let mut masks: Vec<SimWord<W>> = Vec::new();
+        for block in blocks {
+            if undropped == 0 {
+                break;
+            }
+            pi_words.fill(SimWord::ZERO);
+            for g in &block.groups {
+                let start = g.start as usize;
+                pack::pack_patterns_at_w(
+                    &mut pi_words,
+                    g.lane_offset as usize,
+                    &rows[g.row as usize].as_ref()[start..start + g.len as usize],
+                );
+            }
             self.sim.eval_block_into_w(&pi_words, &mut good);
-            self.sim.record_occupancy_wide(chunk.len(), lanes);
-            let lane_mask = pack::lane_mask_w::<W>(chunk.len());
+            self.sim
+                .record_occupancy_wide(block.lanes_used, SimWord::<W>::LANES);
+            masks.clear();
+            masks.extend(block.groups.iter().map(|g| g.mask_w::<W>()));
             for (fid, fault) in faults.iter() {
-                let mut det = self.propagate(&good, fault, &mut scratch) & lane_mask;
-                while !det.is_zero() {
-                    let lane = det.trailing_zeros() as usize;
-                    m.set(base + lane, fid.index(), true);
-                    det.clear_lowest();
+                let fi = fid.index();
+                let mut mask = SimWord::<W>::ZERO;
+                for (g, &m) in block.groups.iter().zip(&masks) {
+                    if sinks[g.row as usize - first_row].wants(fi) {
+                        mask |= m;
+                    }
+                }
+                if mask.is_zero() {
+                    continue;
+                }
+                let det = self.propagate(&good, fault, &mut scratch) & mask;
+                if det.is_zero() {
+                    continue;
+                }
+                for (g, &m) in block.groups.iter().zip(&masks) {
+                    let sink = &mut sinks[g.row as usize - first_row];
+                    let mut hit = det & m;
+                    while !hit.is_zero() {
+                        sink.hit(
+                            fi,
+                            g.start + (hit.trailing_zeros() - u32::from(g.lane_offset)),
+                        );
+                        if !S::EVERY_LANE {
+                            undropped -= 1;
+                            break;
+                        }
+                        hit.clear_lowest();
+                    }
                 }
             }
         }
-        m
+        sinks
+            .into_iter()
+            .enumerate()
+            .map(|(i, sink)| (first_row + i, sink))
+            .collect()
     }
 
     /// Injects `fault` into the good values of one block and returns the
@@ -738,11 +510,86 @@ impl FaultSimulator {
     }
 }
 
+/// Where the kernel reports one row's hits. The sinks are the three jobs
+/// fault simulation does here: OR-detect (`BitVec`, the Detection
+/// Matrix), first-index-min and the dictionary (`BitMatrix`, every hit
+/// lane). First-index-min comes in two forms: `Vec<u32>` with the
+/// [`FaultSimulator::NO_DETECTION`] sentinel, whose partials merge by
+/// `min` (the first-detection matrix), and [`FaultSimResult`] for a
+/// single stream ([`FaultSimulator::run`]), which is filled in place.
+trait Sink {
+    /// Whether the sink takes every hit lane and never drops a fault.
+    const EVERY_LANE: bool;
+    /// An empty sink for a row of `patterns` patterns and `faults` faults.
+    fn new(patterns: usize, faults: usize) -> Self;
+    /// Whether fault `f` still needs simulating for this row.
+    fn wants(&self, f: usize) -> bool;
+    /// Records that the row's pattern `index` detects fault `f`.
+    fn hit(&mut self, f: usize, index: u32);
+}
+
+impl Sink for BitVec {
+    const EVERY_LANE: bool = false;
+    fn new(_patterns: usize, faults: usize) -> Self {
+        BitVec::zeros(faults)
+    }
+    fn wants(&self, f: usize) -> bool {
+        !self.get(f)
+    }
+    fn hit(&mut self, f: usize, _index: u32) {
+        self.set(f, true);
+    }
+}
+
+impl Sink for Vec<u32> {
+    const EVERY_LANE: bool = false;
+    fn new(_patterns: usize, faults: usize) -> Self {
+        vec![FaultSimulator::NO_DETECTION; faults]
+    }
+    fn wants(&self, f: usize) -> bool {
+        self[f] == FaultSimulator::NO_DETECTION
+    }
+    fn hit(&mut self, f: usize, index: u32) {
+        self[f] = index;
+    }
+}
+
+impl Sink for FaultSimResult {
+    const EVERY_LANE: bool = false;
+    fn new(_patterns: usize, faults: usize) -> Self {
+        FaultSimResult {
+            detected: BitVec::zeros(faults),
+            first_detection: vec![None; faults],
+            total_faults: faults,
+        }
+    }
+    fn wants(&self, f: usize) -> bool {
+        !self.detected.get(f)
+    }
+    fn hit(&mut self, f: usize, index: u32) {
+        self.detected.set(f, true);
+        self.first_detection[f] = Some(index);
+    }
+}
+
+impl Sink for BitMatrix {
+    const EVERY_LANE: bool = true;
+    fn new(patterns: usize, faults: usize) -> Self {
+        BitMatrix::new(patterns, faults)
+    }
+    fn wants(&self, _f: usize) -> bool {
+        true
+    }
+    fn hit(&mut self, f: usize, index: u32) {
+        self.set(index as usize, f, true);
+    }
+}
+
 /// Merges `(row, partial)` first-detection results into `acc` by
 /// elementwise `min` — the one owner of the first-detection merge
-/// semantics, used by [`FaultSimulator::first_detections`] and by callers
-/// that fan [`FaultSimulator::first_detections_blocks`] ranges out across
-/// a worker pool themselves. `min` is associative and commutative with
+/// semantics, for callers that fan
+/// [`FaultSimulator::first_detections_blocks`] ranges out across a worker
+/// pool. `min` is associative and commutative with
 /// [`FaultSimulator::NO_DETECTION`] as identity, so any partition and any
 /// merge order yield the same indices.
 ///
@@ -841,7 +688,14 @@ fn eval_forced<const W: usize>(
 mod tests {
     use super::*;
     use crate::reference;
-    use fbist_netlist::{bench, embedded};
+    use fbist_bits::SIMD_WIDTHS;
+    use fbist_genbench::{generate, profile};
+    use fbist_netlist::{bench, embedded, full_scan, Netlist};
+
+    /// Row shapes for the oracle checks: empty, sub-block, straddling a
+    /// 64-lane boundary, exactly one block, and a row longer than a W = 4
+    /// block; the 535 lanes in total straddle a W = 8 block too.
+    const ROW_LENGTHS: [usize; 9] = [0, 4, 1, 60, 130, 7, 0, 300, 33];
 
     fn exhaustive_patterns(width: usize) -> Vec<BitVec> {
         (0..(1u64 << width))
@@ -849,73 +703,232 @@ mod tests {
             .collect()
     }
 
+    /// Deterministic xorshift stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// One oracle case: a circuit, its full uncollapsed fault list (so
+    /// every input-pin fault, including a pin stuck at its gate's
+    /// controlling value, is checked), rows of random
+    /// patterns shaped like [`ROW_LENGTHS`], and the naive reference's
+    /// hits — `hits[row][fault]` lists the row-local index of every
+    /// detecting pattern.
+    struct Oracle {
+        netlist: Netlist,
+        faults: FaultList,
+        rows: Vec<Vec<BitVec>>,
+        hits: Vec<Vec<Vec<u32>>>,
+    }
+
+    /// The oracle cases on c17 and a scaled-down tiny64 mimic, computed
+    /// once and shared by every oracle test.
+    fn oracles() -> &'static [Oracle] {
+        static ORACLES: std::sync::OnceLock<Vec<Oracle>> = std::sync::OnceLock::new();
+        ORACLES.get_or_init(|| {
+            let tiny = generate(&profile("tiny64").unwrap().scaled(0.5), 1);
+            let tiny = if tiny.is_combinational() {
+                tiny
+            } else {
+                full_scan(&tiny).into_combinational()
+            };
+            [embedded::c17(), tiny]
+                .into_iter()
+                .map(|netlist| {
+                    let faults = FaultList::full(&netlist);
+                    let mut next = xorshift(0x1234_5678_9ABC_DEF0);
+                    let width = netlist.inputs().len();
+                    let rows: Vec<Vec<BitVec>> = ROW_LENGTHS
+                        .iter()
+                        .map(|&len| {
+                            (0..len)
+                                .map(|_| BitVec::random_with(width, &mut next))
+                                .collect()
+                        })
+                        .collect();
+                    let hits = rows
+                        .iter()
+                        .map(|row| reference_hits(&netlist, row, &faults))
+                        .collect();
+                    Oracle {
+                        netlist,
+                        faults,
+                        rows,
+                        hits,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// `[fault]` = the indices of the patterns the naive simulator says
+    /// detect the fault.
+    fn reference_hits(n: &Netlist, patterns: &[BitVec], faults: &FaultList) -> Vec<Vec<u32>> {
+        let mut hits = vec![Vec::new(); faults.len()];
+        for (p, pattern) in patterns.iter().enumerate() {
+            let good = reference::evaluate(n, pattern, None);
+            for (fid, fault) in faults.iter() {
+                let bad = reference::evaluate(n, pattern, Some(fault));
+                if n.outputs()
+                    .iter()
+                    .any(|o| good[o.index()] != bad[o.index()])
+                {
+                    hits[fid.index()].push(p as u32);
+                }
+            }
+        }
+        hits
+    }
+
+    impl Oracle {
+        /// The rows as one stream, with the reference hits re-indexed to
+        /// it.
+        fn flat(&self) -> (Vec<BitVec>, Vec<Vec<u32>>) {
+            let mut hits = vec![Vec::new(); self.faults.len()];
+            let mut base = 0u32;
+            for (row, row_hits) in self.rows.iter().zip(&self.hits) {
+                for (f, h) in row_hits.iter().enumerate() {
+                    hits[f].extend(h.iter().map(|&p| base + p));
+                }
+                base += row.len() as u32;
+            }
+            (self.rows.concat(), hits)
+        }
+    }
+
+    /// Block-range partitions of `0..blocks`: whole, one block per range,
+    /// and random cuts.
+    fn partitions(blocks: usize, seed: u64) -> Vec<Vec<Range<usize>>> {
+        let mut next = xorshift(seed);
+        let mut out = vec![vec![0..blocks], (0..blocks).map(|b| b..b + 1).collect()];
+        for _ in 0..3 {
+            let mut ranges = Vec::new();
+            let mut lo = 0;
+            while lo < blocks {
+                let hi = (lo + 1 + (next() % 3) as usize).min(blocks);
+                ranges.push(lo..hi);
+                lo = hi;
+            }
+            out.push(ranges);
+        }
+        out
+    }
+
+    #[test]
+    fn run_matches_reference_at_every_width() {
+        // first-index-min on one-row plans: each row alone, and all rows
+        // as one stream
+        for o in oracles() {
+            let sim = FaultSimulator::new(&o.netlist).unwrap();
+            let (flat, flat_hits) = o.flat();
+            let streams = o.rows.iter().zip(&o.hits).chain([(&flat, &flat_hits)]);
+            for (r, (row, hits)) in streams.enumerate() {
+                for w in SIMD_WIDTHS {
+                    let res = sim.run(row, &o.faults, w);
+                    for (f, h) in hits.iter().enumerate() {
+                        let at = format!("{} W={w} stream {r} fault {f}", o.netlist.name());
+                        assert_eq!(res.first_detection[f], h.first().copied(), "{at}");
+                        assert_eq!(res.detected.get(f), !h.is_empty(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_matches_reference_at_every_width() {
+        for o in oracles() {
+            let sim = FaultSimulator::new(&o.netlist).unwrap();
+            let (flat, hits) = o.flat();
+            for w in SIMD_WIDTHS {
+                let dict = sim.dictionary(&flat, &o.faults, w);
+                assert_eq!(dict.rows(), flat.len());
+                for (f, h) in hits.iter().enumerate() {
+                    let cells: Vec<u32> = (0..flat.len() as u32)
+                        .filter(|&p| dict.get(p as usize, f))
+                        .collect();
+                    assert_eq!(&cells, h, "{} W={w} fault {f}", o.netlist.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sinks_match_reference_on_any_partition() {
+        // OR-detect and first-index-min over shared blocks, merged across
+        // every partition of the block axis
+        for o in oracles() {
+            let sim = FaultSimulator::new(&o.netlist).unwrap();
+            let (rows, faults) = (&o.rows, &o.faults);
+            for w in SIMD_WIDTHS {
+                let plan = BatchPlan::with_width(&ROW_LENGTHS, w);
+                for ranges in partitions(plan.block_count(), w as u64) {
+                    let mut detected = vec![BitVec::zeros(faults.len()); rows.len()];
+                    let mut firsts =
+                        vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
+                    for range in &ranges {
+                        for (r, bits) in sim.detects_blocks(&plan, range.clone(), rows, faults) {
+                            detected[r].union_with(&bits);
+                        }
+                        merge_first_detections(
+                            &mut firsts,
+                            sim.first_detections_blocks(&plan, range.clone(), rows, faults),
+                        );
+                    }
+                    for (r, row_hits) in o.hits.iter().enumerate() {
+                        for (f, h) in row_hits.iter().enumerate() {
+                            let at =
+                                format!("{} W={w} {ranges:?} row {r} fault {f}", o.netlist.name());
+                            assert_eq!(detected[r].get(f), !h.is_empty(), "{at}");
+                            let first = h.first().copied();
+                            assert_eq!(
+                                firsts[r][f],
+                                first.unwrap_or(FaultSimulator::NO_DETECTION),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn c17_exhaustive_full_coverage() {
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        let res = sim.run(&exhaustive_patterns(5), &faults);
+        let res = sim.run(&exhaustive_patterns(5), &faults, 1);
         assert_eq!(res.detected_count(), faults.len(), "c17 is fully testable");
         assert!((res.coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn matches_naive_reference_on_c17() {
+    fn run_stops_once_every_fault_is_dropped() {
+        // the exhaustive set detects every c17 fault in its first block,
+        // so the three repeats behind it are never evaluated
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::full(&n);
-        let patterns = exhaustive_patterns(5);
-        let dict = sim.dictionary(&patterns, &faults);
-        for (fid, fault) in faults.iter() {
-            for (p, pattern) in patterns.iter().enumerate() {
-                let expect = reference::naive_detects(&n, fault, pattern);
-                assert_eq!(
-                    dict.get(p, fid.index()),
-                    expect,
-                    "fault {} pattern {}",
-                    fault.describe(&n),
-                    pattern
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_naive_reference_on_adder() {
-        let n = embedded::adder4();
-        let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        // pseudo-random subset of patterns
-        let mut state = 0xDEADBEEFCAFEBABEu64;
-        let patterns: Vec<BitVec> = (0..80)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                BitVec::from_u64(9, state)
-            })
+        let patterns: Vec<BitVec> = exhaustive_patterns(5)
+            .into_iter()
+            .cycle()
+            .take(256)
             .collect();
-        let dict = sim.dictionary(&patterns, &faults);
-        for (fid, fault) in faults.iter() {
-            for (p, pattern) in patterns.iter().enumerate().step_by(7) {
-                let expect = reference::naive_detects(&n, fault, pattern);
-                assert_eq!(dict.get(p, fid.index()), expect, "{}", fault.describe(&n));
-            }
-        }
-    }
-
-    #[test]
-    fn first_detection_is_first() {
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let patterns = exhaustive_patterns(5);
-        let res = sim.run(&patterns, &faults);
-        let dict = sim.dictionary(&patterns, &faults);
-        for (fid, _f) in faults.iter() {
-            let expect = (0..patterns.len()).find(|&p| dict.get(p, fid.index()));
-            assert_eq!(res.first_detection[fid.index()].map(|v| v as usize), expect);
-        }
+        sim.good_simulator().reset_occupancy();
+        let res = sim.run(&patterns, &faults, 1);
+        assert_eq!(res.detected_count(), faults.len());
+        assert_eq!(sim.good_simulator().occupancy().blocks, 1);
+        // the dictionary never drops, so it evaluates all four blocks
+        sim.good_simulator().reset_occupancy();
+        let _ = sim.dictionary(&patterns, &faults, 1);
+        assert_eq!(sim.good_simulator().occupancy().blocks, 4);
     }
 
     #[test]
@@ -923,11 +936,13 @@ mod tests {
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        let mut patterns = exhaustive_patterns(5);
         // duplicate the whole set: the second half adds nothing
-        let dup = patterns.clone();
-        patterns.extend(dup);
-        let res = sim.run(&patterns, &faults);
+        let patterns: Vec<BitVec> = exhaustive_patterns(5)
+            .into_iter()
+            .cycle()
+            .take(64)
+            .collect();
+        let res = sim.run(&patterns, &faults, 1);
         assert!(res.useful_prefix_len() <= 32);
         assert!(res.useful_prefix_len() > 0);
     }
@@ -941,7 +956,7 @@ mod tests {
         let y = n.find("y").unwrap();
         let f = Fault::stuck_at(FaultSite::GateOutput(y), true);
         let faults = FaultList::from_faults(vec![f]);
-        let res = sim.run(&exhaustive_patterns(1), &faults);
+        let res = sim.run(&exhaustive_patterns(1), &faults, 1);
         assert_eq!(res.detected_count(), 0);
         assert_eq!(res.first_detection[0], None);
     }
@@ -958,235 +973,11 @@ mod tests {
         let faults = FaultList::from_faults(vec![branch, stem]);
         // pattern a=1, b=0: branch fault flips x only; stem also flips y.
         let p: BitVec = "01".parse().unwrap();
-        let dict = sim.dictionary(&[p], &faults);
+        let dict = sim.dictionary(std::slice::from_ref(&p), &faults, 1);
         assert!(dict.get(0, 0));
         assert!(dict.get(0, 1));
         // now check with naive: branch fault must NOT affect y
-        let pat: BitVec = "01".parse().unwrap();
-        assert!(reference::naive_detects(&n, branch, &pat));
-    }
-
-    #[test]
-    fn detects_equals_run_detected() {
-        let n = embedded::majority();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let patterns = exhaustive_patterns(3);
-        assert_eq!(
-            sim.detects(&patterns, &faults),
-            sim.run(&patterns, &faults).detected
-        );
-    }
-
-    #[test]
-    fn detects_batch_matches_per_row() {
-        // rows of wildly different lengths — empty, sub-block, straddling
-        // a shared-block boundary, and multi-block — must come back
-        // bit-identical to the per-row path.
-        let n = embedded::adder4();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut pat = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            BitVec::from_u64(9, state)
-        };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 64, 33]
-            .iter()
-            .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
-        let batched = sim.detects_batch(&rows, &faults);
-        assert_eq!(batched.len(), rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(batched[i], sim.detects(row, &faults), "row {i}");
-        }
-    }
-
-    #[test]
-    fn first_detections_match_per_row_run() {
-        // same mixed row shapes as the detects_batch test: empty,
-        // sub-block, straddling and multi-block rows
-        let n = embedded::adder4();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut pat = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            BitVec::from_u64(9, state)
-        };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 64, 33]
-            .iter()
-            .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
-        let batched = sim.first_detections(&rows, &faults);
-        assert_eq!(batched.len(), rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let per_row = sim.run(row, &faults);
-            for (fid, _f) in faults.iter() {
-                let expect = per_row.first_detection[fid.index()]
-                    .map_or(FaultSimulator::NO_DETECTION, |v| v);
-                assert_eq!(batched[i][fid.index()], expect, "row {i} fault {fid:?}");
-            }
-            // and the thresholded view agrees with plain detection
-            let detected = sim.detects(row, &faults);
-            for (f, &first) in batched[i].iter().enumerate() {
-                assert_eq!(
-                    first != FaultSimulator::NO_DETECTION,
-                    detected.get(f),
-                    "row {i} fault {f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn first_detections_blocks_min_merge_is_partition_invariant() {
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..23u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
-            .collect();
-        let plan = BatchPlan::new(&[23; 9]);
-        let whole = sim.first_detections(&rows, &faults);
-        for chunk in [1usize, 2, 3] {
-            let mut out = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
-            let mut lo = 0;
-            while lo < plan.block_count() {
-                let hi = (lo + chunk).min(plan.block_count());
-                merge_first_detections(
-                    &mut out,
-                    sim.first_detections_blocks(&plan, lo..hi, &rows, &faults),
-                );
-                lo = hi;
-            }
-            assert_eq!(out, whole, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn first_detections_agree_with_dictionary() {
-        // the batched first index must be the row-local index of the first
-        // 1-cell in the exhaustive (no-dropping) dictionary
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..5)
-            .map(|r| (0..13u64).map(|v| BitVec::from_u64(5, v * 3 + r)).collect())
-            .collect();
-        let firsts = sim.first_detections(&rows, &faults);
-        for (i, row) in rows.iter().enumerate() {
-            let dict = sim.dictionary(row, &faults);
-            for (fid, _f) in faults.iter() {
-                let expect = (0..row.len()).find(|&p| dict.get(p, fid.index()));
-                assert_eq!(
-                    firsts[i][fid.index()],
-                    expect.map_or(FaultSimulator::NO_DETECTION, |v| v as u32),
-                    "row {i} fault {fid:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn detects_blocks_union_is_partition_invariant() {
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..23u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
-            .collect();
-        let plan = BatchPlan::new(&[23; 9]);
-        let whole = sim.detects_batch(&rows, &faults);
-        for chunk in [1usize, 2, 3] {
-            let mut out = vec![BitVec::zeros(faults.len()); rows.len()];
-            let mut lo = 0;
-            while lo < plan.block_count() {
-                let hi = (lo + chunk).min(plan.block_count());
-                for (row, bits) in sim.detects_blocks(&plan, lo..hi, &rows, &faults) {
-                    out[row].union_with(&bits);
-                }
-                lo = hi;
-            }
-            assert_eq!(out, whole, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn every_simd_width_matches_width_one() {
-        // detection sets, first-detection indices and dictionary cells
-        // must be byte-identical at W = 1, 2, 4, 8
-        let n = embedded::adder4();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let mut state = 0x0DDB_A11C_0FFE_E000u64;
-        let mut pat = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            BitVec::from_u64(9, state)
-        };
-        let rows: Vec<Vec<BitVec>> = [0usize, 4, 1, 60, 130, 7, 0, 300, 33]
-            .iter()
-            .map(|&len| (0..len).map(|_| pat()).collect())
-            .collect();
-        let flat: Vec<BitVec> = rows.iter().flatten().cloned().collect();
-        let run1 = sim.run(&flat, &faults);
-        let dict1 = sim.dictionary(&flat, &faults);
-        let batch1 = sim.detects_batch(&rows, &faults);
-        let first1 = sim.first_detections(&rows, &faults);
-        for w in [2usize, 4, 8] {
-            let runw = sim.run_wide(&flat, &faults, w);
-            assert_eq!(runw.detected, run1.detected, "run detected W={w}");
-            assert_eq!(
-                runw.first_detection, run1.first_detection,
-                "run first detection W={w}"
-            );
-            assert_eq!(sim.dictionary_wide(&flat, &faults, w), dict1, "dict W={w}");
-            assert_eq!(
-                sim.detects_batch_wide(&rows, &faults, w),
-                batch1,
-                "batch W={w}"
-            );
-            assert_eq!(
-                sim.first_detections_wide(&rows, &faults, w),
-                first1,
-                "first detections W={w}"
-            );
-        }
-    }
-
-    #[test]
-    fn wide_blocks_min_merge_is_partition_invariant() {
-        // the partition-invariance that lets core fan block ranges across
-        // the pool must hold for wide plans too
-        let n = embedded::c17();
-        let sim = FaultSimulator::new(&n).unwrap();
-        let faults = FaultList::collapsed(&n);
-        let rows: Vec<Vec<BitVec>> = (0..9)
-            .map(|r| (0..43u64).map(|v| BitVec::from_u64(5, v * 7 + r)).collect())
-            .collect();
-        let whole = sim.first_detections(&rows, &faults);
-        for w in [2usize, 4, 8] {
-            let plan = BatchPlan::with_width(&[43; 9], w);
-            for chunk in [1usize, 2] {
-                let mut out = vec![vec![FaultSimulator::NO_DETECTION; faults.len()]; rows.len()];
-                let mut lo = 0;
-                while lo < plan.block_count() {
-                    let hi = (lo + chunk).min(plan.block_count());
-                    merge_first_detections(
-                        &mut out,
-                        sim.first_detections_blocks(&plan, lo..hi, &rows, &faults),
-                    );
-                    lo = hi;
-                }
-                assert_eq!(out, whole, "W={w} chunk={chunk}");
-            }
-        }
+        assert!(reference::naive_detects(&n, branch, &p));
     }
 
     #[test]
@@ -1200,14 +991,15 @@ mod tests {
             .collect();
         sim.good_simulator().reset_occupancy();
         for row in &rows {
-            let _ = sim.detects(row, &faults);
+            let _ = sim.run(row, &faults, 1);
         }
         let per_row = sim.good_simulator().occupancy();
         assert_eq!(per_row.blocks, 16);
         assert!(per_row.ratio() < 0.1, "per-row ratio {}", per_row.ratio());
 
         sim.good_simulator().reset_occupancy();
-        let _ = sim.detects_batch(&rows, &faults);
+        let plan = BatchPlan::new(&[4; 16]);
+        let _ = sim.detects_blocks(&plan, 0..plan.block_count(), &rows, &faults);
         let batched = sim.good_simulator().occupancy();
         assert_eq!(batched.blocks, 1);
         assert_eq!(batched.ratio(), 1.0);
@@ -1218,8 +1010,9 @@ mod tests {
         let n = embedded::c17();
         let sim = FaultSimulator::new(&n).unwrap();
         let faults = FaultList::collapsed(&n);
-        let res = sim.run(&[], &faults);
+        let res = sim.run(&[], &faults, 1);
         assert_eq!(res.detected_count(), 0);
         assert_eq!(res.useful_prefix_len(), 0);
+        assert_eq!(sim.dictionary(&[], &faults, 1).rows(), 0);
     }
 }

@@ -10,7 +10,7 @@
 //! 128-bit FNV-1a [`Digest`] of **exactly the inputs the stage's output
 //! depends on** — the circuit content and the relevant
 //! `FlowConfig` fragment. Throughput knobs (`jobs`, the set-covering
-//! backend, the matrix-build and sweep engines) are deliberately *not*
+//! backend, the matrix-build engine, the SIMD width) are deliberately *not*
 //! hashed: the workspace pins them bit-identical, so caching across
 //! them is sound and a warm store answers any of their combinations.
 //! Changing a keyed knob (seed, τ, TPG, ATPG settings, solver

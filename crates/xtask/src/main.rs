@@ -1,7 +1,7 @@
 //! Repo invariant lints, run as `cargo run -p xtask -- lint` (and as a
 //! plain `cargo test -p xtask`, so the tier-1 suite enforces them too).
 //!
-//! Four invariants, chosen because nothing else in the build would catch
+//! Five invariants, chosen because nothing else in the build would catch
 //! a quiet violation:
 //!
 //! 1. **`#![forbid(unsafe_code)]` in every first-party crate root.** The
@@ -29,6 +29,11 @@
 //!    test inputs. Every use of a hashed container in those crates must
 //!    carry a `determinism:` comment (same line or the comment block
 //!    directly above) arguing why iteration order is never observed.
+//! 5. **No fixed temp-dir names in test code.** `temp_dir().join("name")`
+//!    gives every test that uses it — and every concurrent run of the
+//!    suite — the same directory, so parallel tests delete each other's
+//!    files and fail intermittently. Tests name their directories after
+//!    the test, the process id and a counter, and remove them on drop.
 
 #![forbid(unsafe_code)]
 
@@ -74,6 +79,7 @@ fn run_lints(root: &Path) -> Vec<String> {
     lint_no_thread_spawn(root, &mut failures);
     lint_throughput_manifest(root, &mut failures);
     lint_no_hash_iteration(root, &mut failures);
+    lint_no_fixed_temp_dirs(root, &mut failures);
     failures
 }
 
@@ -275,6 +281,41 @@ fn preceding_comment_contains(lines: &[&str], i: usize, needle: &str) -> bool {
         .any(|l| l.contains(needle))
 }
 
+// ------------------------------------------- 5: no fixed temp-dir names
+
+fn lint_no_fixed_temp_dirs(root: &Path, failures: &mut Vec<String>) {
+    // built at runtime so this source file cannot trip its own lint
+    let needle: String = ["temp_dir()", ".join(\""].concat();
+    let mut sources = Vec::new();
+    for top in ["crates", "tests"] {
+        collect_rs_files(&root.join(top), &mut sources);
+    }
+    for path in sources {
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        // test code: integration tests and benches, or anything after a
+        // `#[cfg(test)]` line
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let mut in_test = rel
+            .components()
+            .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches");
+        for (i, line) in text.lines().enumerate() {
+            in_test |= line.trim_start().starts_with("#[cfg(test)]");
+            let code = line.split("//").next().unwrap_or("");
+            if in_test && code.contains(&needle) {
+                failures.push(format!(
+                    "{}:{}: fixed temp-dir name — parallel tests share and \
+                     delete it; name the directory after the test, the \
+                     process id and a counter, and remove it on drop",
+                    path.display(),
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
 /// Extracts the `(knob, suite)` pairs from the `THROUGHPUT_KNOBS` array
 /// by scanning the quoted string pairs between the declaration and the
 /// closing `];`.
@@ -389,6 +430,32 @@ mod tests {
         assert_eq!(failures.len(), 2, "{failures:#?}");
         assert!(failures[0].contains("lib.rs:1:"), "{failures:#?}");
         assert!(failures[1].contains("lib.rs:4:"), "{failures:#?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn fixed_temp_dir_in_test_code_is_reported() {
+        let dir = std::env::temp_dir().join(format!("xtask-lint4-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crates/cli/src")).unwrap();
+        std::fs::create_dir_all(dir.join("tests")).unwrap();
+        let fixed = ["std::env::temp_dir()", ".join(\"shared\")"].concat();
+        std::fs::write(
+            dir.join("crates/cli/src/main.rs"),
+            format!("fn cache() {{ {fixed}; }}\n#[cfg(test)]\nfn t() {{ {fixed}; }}\n"),
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("tests/smoke.rs"),
+            format!("fn t() {{ {fixed}; }}\n"),
+        )
+        .unwrap();
+        let mut failures = Vec::new();
+        lint_no_fixed_temp_dirs(&dir, &mut failures);
+        // the non-test line 1 of main.rs is allowed
+        assert_eq!(failures.len(), 2, "{failures:#?}");
+        assert!(failures[0].contains("main.rs:3:"), "{failures:#?}");
+        assert!(failures[1].contains("smoke.rs:1:"), "{failures:#?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -94,7 +94,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &row in &chosen {
         patterns.extend(tpg.expand(&triplets[row]));
     }
-    let detected = FaultSimulator::new(&netlist)?.detects(&patterns, &target);
+    let detected = FaultSimulator::new(&netlist)?
+        .run(&patterns, &target, 1)
+        .detected;
     println!(
         "replay: {} / {} faults with {} triplets ({} patterns)",
         detected.count_ones(),

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         patterns.extend(tpg.expand(&sel.triplet));
     }
     let fsim = FaultSimulator::new(uut)?;
-    let detected = fsim.detects(&patterns, &target);
+    let detected = fsim.run(&patterns, &target, 1).detected;
     println!(
         "verification replay: {} / {} target faults detected by {} patterns",
         detected.count_ones(),

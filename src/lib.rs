@@ -70,6 +70,6 @@ pub mod prelude {
     pub use reseed_core::{
         tradeoff_sweep, tradeoff_sweep_from_base, tradeoff_sweep_with, verify_report, AtpgBase,
         FlowConfig, Gatsby, GatsbyConfig, InitialReseedingBuilder, MatrixBuild, ReseedingFlow,
-        ReseedingReport, SimdWidth, StageCache, SweepEngine, TpgKind,
+        ReseedingReport, SimdWidth, StageCache, TpgKind,
     };
 }

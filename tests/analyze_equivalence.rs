@@ -397,7 +397,7 @@ fn detection_tables(n: &Netlist, faults: &FaultList) -> Vec<BitVec> {
     (0..1u32 << width)
         .map(|pat| {
             let p = BitVec::from_u64(width, pat as u64);
-            fsim.detects(std::slice::from_ref(&p), faults)
+            fsim.run(std::slice::from_ref(&p), faults, 1).detected
         })
         .collect()
 }
@@ -507,12 +507,12 @@ proptest! {
         let mut s = pseed | 1;
         let mut next = move || { s ^= s << 13; s ^= s >> 7; s ^= s << 17; s };
         let random: Vec<BitVec> = (0..32).map(|_| BitVec::random_with(w, &mut next)).collect();
-        let detected = fsim.detects(&random, &faults);
+        let detected = fsim.run(&random, &faults, 1).detected;
 
         // the full ATPG run (targets the same list, generates its own set)
         let atpg = Atpg::new(&netlist).unwrap();
         let r = atpg.run(&faults, &AtpgConfig::default());
-        let atpg_detected = fsim.detects(&r.patterns, &faults);
+        let atpg_detected = fsim.run(&r.patterns, &faults, 1).detected;
 
         for (id, f) in faults.iter() {
             if !mask[id.index()] {

@@ -63,7 +63,7 @@ proptest! {
         let mut s = pseed | 1;
         let mut next = move || { s ^= s << 13; s ^= s >> 7; s ^= s << 17; s };
         let patterns: Vec<BitVec> = (0..8).map(|_| BitVec::random_with(w, &mut next)).collect();
-        let dict = fsim.dictionary(&patterns, &faults);
+        let dict = fsim.dictionary(&patterns, &faults, 1);
         for (fid, fault) in faults.iter() {
             for (p, pattern) in patterns.iter().enumerate() {
                 prop_assert_eq!(

@@ -25,7 +25,7 @@ fn verify_by_replay(netlist: &Netlist, report: &ReseedingReport, kind: TpgKind) 
         "trimmed lengths add up"
     );
     let fsim = FaultSimulator::new(netlist).unwrap();
-    let detected = fsim.detects(&patterns, &target);
+    let detected = fsim.run(&patterns, &target, 1).detected;
     assert_eq!(
         detected.count_ones(),
         target.len(),

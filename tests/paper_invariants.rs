@@ -61,7 +61,7 @@ fn minimality_no_triplet_removable() {
         .iter()
         .flat_map(|s| tpg.expand(&s.triplet))
         .collect();
-    let full_cov = fsim.detects(&full, &initial.target_faults).count_ones();
+    let full_cov = fsim.run(&full, &initial.target_faults, 1).detected_count();
     assert_eq!(full_cov, initial.target_faults.len());
     for skip in 0..report.selected.len() {
         let partial: Vec<BitVec> = report
@@ -71,7 +71,9 @@ fn minimality_no_triplet_removable() {
             .filter(|&(i, _)| i != skip)
             .flat_map(|(_, s)| tpg.expand(&s.triplet))
             .collect();
-        let cov = fsim.detects(&partial, &initial.target_faults).count_ones();
+        let cov = fsim
+            .run(&partial, &initial.target_faults, 1)
+            .detected_count();
         assert!(
             cov < full_cov,
             "triplet {skip} is removable — solution not minimal"
@@ -144,7 +146,7 @@ fn mimics_are_random_pattern_resistant() {
     let random: Vec<BitVec> = (0..10_000)
         .map(|_| BitVec::random_with(w, &mut || rng.gen()))
         .collect();
-    let random_cov = fsim.detects(&random, &faults).count_ones();
+    let random_cov = fsim.run(&random, &faults, 1).detected_count();
 
     let atpg = Atpg::new(&netlist).unwrap();
     let det = atpg.run(&faults, &AtpgConfig::default());

@@ -10,8 +10,8 @@
 //! ATPG run, the Detection Matrix (both construction engines), the
 //! first-detection matrix, and the full reseeding report. This is the
 //! width twin of the `parallel_equivalence` (jobs),
-//! `sparse_dense_equivalence` (backend), `batched_matrix_equivalence`
-//! (matrix engine) and `sweep_equivalence` (sweep engine) contracts —
+//! `sparse_dense_equivalence` (backend) and `batched_matrix_equivalence`
+//! (matrix engine) contracts —
 //! together they are the proof obligations behind the
 //! `THROUGHPUT_KNOBS` stage-key exclusion manifest that `xtask lint`
 //! cross-checks.

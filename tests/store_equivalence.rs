@@ -11,9 +11,13 @@
 //! 3. **warm is free**: the warm sweep performs **zero** matrix
 //!    simulation passes and never runs ATPG (`fully_warm`).
 //!
-//! This is the store-level sibling of the `sweep_equivalence` (engine),
-//! `parallel_equivalence` (jobs), `sparse_dense_equivalence` (backend)
-//! and `batched_matrix_equivalence` (matrix engine) contracts.
+//! This is the store-level sibling of the `sweep_equivalence` (sweep vs.
+//! single-τ runs), `parallel_equivalence` (jobs),
+//! `sparse_dense_equivalence` (backend) and `batched_matrix_equivalence`
+//! (matrix engine) contracts.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
@@ -36,15 +40,39 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-fn fresh_store(label: &str) -> (ArtifactStore, std::path::PathBuf) {
-    let dir =
-        std::env::temp_dir().join(format!("fbist-store-equiv-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    (ArtifactStore::open(&dir).expect("temp store opens"), dir)
+/// A directory under the system temp dir, unique to one test (label +
+/// pid + counter) and removed on drop, so tests running in parallel never
+/// share or delete each other's stores.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(label: &str) -> TestDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "fbist-store-equiv-{label}-{}-{n}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        TestDir(dir)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// An empty store in its own [`TestDir`]; keep the dir alive as long as
+/// the store is used.
+fn fresh_store(label: &str) -> (ArtifactStore, TestDir) {
+    let dir = TestDir::new(label);
+    (ArtifactStore::open(&dir.0).expect("temp store opens"), dir)
 }
 
 fn assert_store_equivalent(netlist: &Netlist, tpg: TpgKind, label: &str) {
-    let (store, dir) = fresh_store(label);
+    let (store, _dir) = fresh_store(&format!("{label}-{tpg}"));
 
     // ground truth: no store attached
     let reference = tradeoff_sweep(netlist, &FlowConfig::new(tpg).with_jobs(1), &TAUS).unwrap();
@@ -78,8 +106,6 @@ fn assert_store_equivalent(netlist: &Netlist, tpg: TpgKind, label: &str) {
         "{label}: warm sweep computed a stage: {stats:?}"
     );
     assert_eq!(stats.cover_hits, 3, "{label}: one cover hit per unique τ");
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 macro_rules! store_equivalence_tests {
@@ -137,7 +163,7 @@ fn store_macro_covers_every_profile() {
 #[test]
 fn run_and_sweep_share_cover_artifacts() {
     let n = small(&genbench_profile("tiny64").unwrap());
-    let (store, dir) = fresh_store("run-sweep-cross");
+    let (store, _dir) = fresh_store("run-sweep-cross");
 
     let sweep_flow = ReseedingFlow::with_store(&n, store.clone()).unwrap();
     let curve = tradeoff_sweep_with(&sweep_flow, &FlowConfig::new(TpgKind::Adder), &[0, 7]);
@@ -154,8 +180,6 @@ fn run_and_sweep_share_cover_artifacts() {
     let curve2 = tradeoff_sweep_with(&warm_sweep, &FlowConfig::new(TpgKind::Adder), &[15]);
     assert_eq!(curve2[0].report, report15);
     assert!(warm_sweep.stages().stats().fully_warm());
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The saturating first-detection artifact: after a sweep up to τ = 15, a
@@ -164,7 +188,7 @@ fn run_and_sweep_share_cover_artifacts() {
 #[test]
 fn first_detection_artifact_saturates_monotonically() {
     let n = small(&genbench_profile("tiny64").unwrap());
-    let (store, dir) = fresh_store("fd-saturation");
+    let (store, _dir) = fresh_store("fd-saturation");
     let cfg = FlowConfig::new(TpgKind::Adder);
 
     let flow = ReseedingFlow::with_store(&n, store.clone()).unwrap();
@@ -191,8 +215,6 @@ fn first_detection_artifact_saturates_monotonically() {
     let got = tradeoff_sweep_with(&larger, &cfg, &[31]);
     assert_eq!(got, reference);
     assert_eq!(larger.builder().matrix_sim_passes(), 1);
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A corrupt artifact degrades to recomputation — same answer, a warning
@@ -200,7 +222,7 @@ fn first_detection_artifact_saturates_monotonically() {
 #[test]
 fn corrupt_cover_artifact_recomputes_identically() {
     let n = small(&genbench_profile("tiny64").unwrap());
-    let (store, dir) = fresh_store("corrupt-degrade");
+    let (store, _dir) = fresh_store("corrupt-degrade");
     let cfg = FlowConfig::new(TpgKind::Adder).with_tau(7);
 
     let flow = ReseedingFlow::with_store(&n, store.clone()).unwrap();
@@ -220,6 +242,4 @@ fn corrupt_cover_artifact_recomputes_identically() {
         1,
         "corrupt artifact must count as a miss"
     );
-
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,39 +1,32 @@
-//! Differential suite pinning the first-detection τ-sweep engine to the
-//! per-τ one.
+//! Differential suite pinning the τ-sweep to single-τ runs.
 //!
 //! For **every** genbench profile (scaled to a small, fast gate budget —
 //! the thresholding machinery is identical at every size), a TPG from
-//! each family (accumulator-based `add`, LFSR-based `lfsr`),
-//! `jobs ∈ {1, 4}` and both covering backends, the first-detection sweep
-//! must produce a curve **byte-for-byte identical** to the per-τ sweep's
-//! — every [`SweepPoint`] including its full report — on a τ list that is
-//! deliberately unsorted and duplicated. This is the sweep-level sibling
-//! of the `parallel_equivalence` (jobs), `sparse_dense_equivalence`
-//! (backend) and `batched_matrix_equivalence` (matrix engine) contracts:
-//! the sweep engine may only change wall-clock time, never a single bit
-//! of any artefact.
+//! each family (accumulator-based `add`, LFSR-based `lfsr`) and
+//! `jobs ∈ {1, 4}`, every point of `tradeoff_sweep` — its full report
+//! included — must equal a store-less `ReseedingFlow::run` at that τ,
+//! which builds its Detection Matrix by OR-detect simulation of the
+//! τ-expansion (`matrix_for`). The sweep instead derives every point from
+//! one first-detection pass at `max(taus)`, so this is the oracle check
+//! of the derivation. The τ list is deliberately unsorted and duplicated.
 //!
-//! The suite also pins the engine's reason to exist, the ISSUE's
-//! acceptance criterion verbatim: on `mid256` at full scale with
-//! `--taus 0,3,7,15,31,63`, the first-detection engine reproduces the
-//! per-τ curve byte-for-byte while running **exactly one**
+//! The suite also pins the sweep's reason to exist: on `mid256` at full
+//! scale with `--taus 0,3,7,15,31,63`, the sweep runs **exactly one**
 //! Detection-Matrix simulation pass (the builder's pass counter) and
-//! strictly fewer simulated 64-lane blocks (the `PackedSimulator` lane
-//! counters).
-//!
-//! [`SweepPoint`]: reseed_core::SweepPoint
+//! evaluates strictly fewer simulated blocks (the `PackedSimulator` lane
+//! counters) than the single-τ runs of its points together.
 
 use fbist_genbench::{all_profiles, generate, CircuitProfile};
 use fbist_netlist::Netlist;
 use set_covering_reseeding::prelude::*;
 
-/// Gate budget for the per-profile equivalence half: exercises every
-/// interface shape while staying test-fast.
+/// Gate budget for the per-profile half: exercises every interface shape
+/// while staying test-fast.
 const GATE_BUDGET: f64 = 70.0;
 
-/// Deliberately unsorted, duplicated τ list: the first-detection engine
-/// must dedupe, simulate once at max = 15, and still emit one point per
-/// input τ in input order.
+/// Deliberately unsorted, duplicated τ list: the sweep must dedupe,
+/// simulate once at max = 7, and still emit one point per input τ in
+/// input order.
 const TAUS: [usize; 4] = [7, 0, 3, 3];
 
 fn small(p: &CircuitProfile) -> Netlist {
@@ -45,34 +38,20 @@ fn small(p: &CircuitProfile) -> Netlist {
     }
 }
 
-/// Per-τ vs first-detection vs auto, byte-for-byte, across jobs ×
-/// backend, for one profile and TPG.
-fn assert_sweeps_equivalent(netlist: &Netlist, tpg: TpgKind, label: &str) {
+/// Every sweep point equals the single-τ run at its τ, across jobs, for
+/// one profile and TPG.
+fn assert_sweep_matches_runs(netlist: &Netlist, tpg: TpgKind, label: &str) {
+    let flow = ReseedingFlow::new(netlist).unwrap();
     for jobs in [1usize, 4] {
-        for backend in [Backend::Dense, Backend::Sparse] {
-            let curve = |engine: SweepEngine| {
-                tradeoff_sweep(
-                    netlist,
-                    &FlowConfig::new(tpg)
-                        .with_jobs(jobs)
-                        .with_backend(backend)
-                        .with_sweep_engine(engine),
-                    &TAUS,
-                )
-                .unwrap()
-            };
-            let per_tau = curve(SweepEngine::PerTau);
-            assert_eq!(per_tau.len(), TAUS.len(), "{label}");
+        let cfg = FlowConfig::new(tpg).with_jobs(jobs);
+        let curve = tradeoff_sweep(netlist, &cfg, &TAUS).unwrap();
+        assert_eq!(curve.len(), TAUS.len(), "{label}");
+        for (point, &tau) in curve.iter().zip(&TAUS) {
+            assert_eq!(point.tau, tau, "{label} jobs={jobs}");
+            let report = flow.run(&cfg.clone().with_tau(tau));
             assert_eq!(
-                per_tau,
-                curve(SweepEngine::FirstDetection),
-                "{label} jobs={jobs} backend={backend:?}: first-detection \
-                 curve differs from per-τ"
-            );
-            assert_eq!(
-                per_tau,
-                curve(SweepEngine::Auto),
-                "{label} jobs={jobs} backend={backend:?}: auto curve differs"
+                point.report, report,
+                "{label} jobs={jobs} τ={tau}: sweep point differs from the single-τ run"
             );
         }
     }
@@ -86,13 +65,13 @@ macro_rules! sweep_equivalence_tests {
             #[test]
             fn add() {
                 let p = genbench_profile($profile).expect("profile registered");
-                assert_sweeps_equivalent(&small(&p), TpgKind::Adder, $profile);
+                assert_sweep_matches_runs(&small(&p), TpgKind::Adder, $profile);
             }
 
             #[test]
             fn lfsr() {
                 let p = genbench_profile($profile).expect("profile registered");
-                assert_sweeps_equivalent(&small(&p), TpgKind::Lfsr, $profile);
+                assert_sweep_matches_runs(&small(&p), TpgKind::Lfsr, $profile);
             }
         }
     )+};
@@ -128,52 +107,54 @@ fn sweep_macro_covers_every_profile() {
     assert_eq!(all_profiles().len(), 20, "update sweep_equivalence_tests!");
 }
 
-/// The acceptance criterion, end to end on `mid256` at full scale:
-/// `--taus 0,3,7,15,31,63` with the first-detection engine is
-/// byte-identical to the per-τ engine while performing exactly one matrix
-/// simulation pass and evaluating strictly fewer 64-lane blocks.
+/// End to end on `mid256` at full scale: `--taus 0,3,7,15,31,63` runs
+/// exactly one matrix simulation pass and evaluates strictly fewer blocks
+/// than the single-τ runs of its points together.
 #[test]
 fn mid256_first_detection_single_pass_and_fewer_blocks() {
     let n = generate(&genbench_profile("mid256").unwrap(), 1);
     let taus = [0usize, 3, 7, 15, 31, 63];
+    let cfg = FlowConfig::new(TpgKind::Adder);
     let flow = ReseedingFlow::new(&n).unwrap();
     let sim = flow.builder().fault_simulator().good_simulator();
 
+    // ATPG runs on its own simulator, so these counters see only the
+    // matrix builds and the trimming
     flow.builder().reset_matrix_sim_passes();
     sim.reset_occupancy();
-    let per_tau = tradeoff_sweep_with(
-        &flow,
-        &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::PerTau),
-        &taus,
+    let runs: Vec<ReseedingReport> = taus
+        .iter()
+        .map(|&tau| flow.run(&cfg.clone().with_tau(tau)))
+        .collect();
+    assert_eq!(
+        flow.builder().matrix_sim_passes(),
+        taus.len() as u64,
+        "single-τ runs: one pass per point"
     );
-    let pt_passes = flow.builder().matrix_sim_passes();
-    let pt_occupancy = sim.occupancy();
-    assert_eq!(pt_passes, taus.len() as u64, "per-τ: one pass per point");
+    let run_blocks = sim.occupancy().blocks;
 
     flow.builder().reset_matrix_sim_passes();
     sim.reset_occupancy();
-    let first_detection = tradeoff_sweep_with(
-        &flow,
-        &FlowConfig::new(TpgKind::Adder).with_sweep_engine(SweepEngine::FirstDetection),
-        &taus,
-    );
-    let fd_passes = flow.builder().matrix_sim_passes();
-    let fd_occupancy = sim.occupancy();
+    let sweep = tradeoff_sweep_with(&flow, &cfg, &taus);
+    let sweep_blocks = sim.occupancy().blocks;
 
+    for (point, report) in sweep.iter().zip(&runs) {
+        assert_eq!(
+            &point.report, report,
+            "τ={}: sweep differs from its run",
+            point.tau
+        );
+    }
     assert_eq!(
-        per_tau, first_detection,
-        "first-detection curve must be byte-identical to per-τ"
-    );
-    assert_eq!(
-        fd_passes, 1,
-        "first-detection must run exactly one matrix simulation pass"
+        flow.builder().matrix_sim_passes(),
+        1,
+        "the sweep must run exactly one matrix simulation pass"
     );
     // the per-point trimming simulations are identical on both sides
     // (identical reports), so the strict block gap is pure matrix work
     assert!(
-        fd_occupancy.blocks < pt_occupancy.blocks,
-        "first-detection evaluated {} blocks, per-τ {} — expected strictly fewer",
-        fd_occupancy.blocks,
-        pt_occupancy.blocks
+        sweep_blocks < run_blocks,
+        "the sweep evaluated {sweep_blocks} blocks, its single-τ runs {run_blocks} — \
+         expected strictly fewer"
     );
 }
