@@ -15,33 +15,40 @@
 //!     --circuit s1238 --tpg add --taus 0,3,7,15,31,63,127,255,511 --jobs 0]
 //! ```
 
-use fbist_bench::{build_circuit, flag, install_jobs, num};
+use std::process::ExitCode;
+
+use fbist_bench::{build_circuit, JOBS, SCALE, SEED};
 use fbist_genbench::profile;
+use reseed_core::args::{Args, Opt, Table};
 use reseed_core::{tradeoff_sweep, FlowConfig, TpgKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = install_jobs(&args);
-    let circuit = flag(&args, "--circuit").unwrap_or_else(|| "s1238".to_owned());
-    let scale: f64 = num(&args, "--scale", 0.35);
-    let seed: u64 = num(&args, "--seed", 1);
-    let tpg = match flag(&args, "--tpg").as_deref() {
-        Some("sub") => TpgKind::Subtracter,
-        Some("mul") => TpgKind::Multiplier,
-        Some("lfsr") => TpgKind::Lfsr,
-        _ => TpgKind::Adder,
-    };
-    let taus: Vec<usize> = match flag(&args, "--taus") {
-        Some(list) => reseed_core::parse_tau_list(&list).unwrap_or_else(|e| panic!("{e}")),
-        None => vec![0, 3, 7, 15, 31, 63, 127, 255, 511],
-    };
+const CIRCUIT: Opt = Opt::value("--circuit", "NAME", &["figure2"], "profile (default s1238)");
+const TPG: Opt = Opt::value("--tpg", "KIND", &["figure2"], "TPG kind (default add)");
+const TAUS: Opt = Opt::value("--taus", "LIST", &["figure2"], "τ list (default 0,3,…,511)");
+const TABLE: Table = Table {
+    commands: &[("figure2", &[])],
+    opts: &[CIRCUIT, SCALE, SEED, TPG, TAUS, JOBS],
+};
 
-    let p = profile(&circuit)
-        .unwrap_or_else(|| panic!("unknown profile {circuit:?}"))
+fn main() -> ExitCode {
+    fbist_bench::main(&TABLE, figure2)
+}
+
+fn figure2(args: &Args) -> Result<(), String> {
+    let jobs = mini_rayon::jobs();
+    let circuit = args.value(&CIRCUIT).unwrap_or("s1238");
+    let scale: f64 = args.num(&SCALE, 0.35)?;
+    let seed: u64 = args.num(&SEED, 1)?;
+    let tpg = args.get(&TPG, TpgKind::Adder, TpgKind::parse)?;
+    let default = vec![0, 3, 7, 15, 31, 63, 127, 255, 511];
+    let taus = args.get(&TAUS, default, reseed_core::parse_tau_list)?;
+
+    let p = profile(circuit)
+        .ok_or_else(|| format!("unknown profile {circuit:?}"))?
         .scaled(scale);
     let netlist = build_circuit(&p, seed);
     let cfg = FlowConfig::new(tpg).with_seed(seed);
-    let curve = tradeoff_sweep(&netlist, &cfg, &taus).expect("combinational mimic");
+    let curve = tradeoff_sweep(&netlist, &cfg, &taus).map_err(|e| e.to_string())?;
 
     println!(
         "# Figure 2 — trade-off reseedings vs. test length ({circuit} @ scale {scale}, TPG {tpg}, seed {seed}, jobs {jobs})"
@@ -75,4 +82,5 @@ fn main() {
             "no (legal — the solver does not guarantee monotonicity)"
         }
     );
+    Ok(())
 }

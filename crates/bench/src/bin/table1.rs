@@ -11,29 +11,32 @@
 //! triplets than GATSBY on every circuit except s838. The shape to check
 //! here is *set covering ≤ GATSBY everywhere, often strictly better*.
 
-use fbist_bench::{build_circuit, display_name, flag, install_jobs, num, suite_from_args};
+use std::process::ExitCode;
+
+use fbist_bench::{build_circuit, display_name, suite_from_args, CIRCUITS, JOBS, SCALE, SEED, TAU};
+use reseed_core::args::{Args, Opt, Table};
 use reseed_core::{FlowConfig, Gatsby, GatsbyConfig, ReseedingFlow, TpgKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = suite_from_args(&args);
-    let jobs = install_jobs(&args);
-    let tau: usize = num(&args, "--tau", 31);
-    let skip_gatsby = args.iter().any(|a| a == "--skip-gatsby");
-    let tpgs: Vec<TpgKind> = match flag(&args, "--tpg").as_deref() {
-        Some("all") => vec![
-            TpgKind::Adder,
-            TpgKind::Subtracter,
-            TpgKind::Multiplier,
-            TpgKind::Lfsr,
-            TpgKind::MultiPolyLfsr,
-            TpgKind::Weighted,
-        ],
-        Some("add") => vec![TpgKind::Adder],
-        Some("sub") => vec![TpgKind::Subtracter],
-        Some("mul") => vec![TpgKind::Multiplier],
-        Some("lfsr") => vec![TpgKind::Lfsr],
-        _ => TpgKind::PAPER.to_vec(),
+const TPG: Opt = Opt::value("--tpg", "KIND|all", &["table1"], "default add, sub, mul");
+const SKIP_GATSBY: Opt = Opt::switch("--skip-gatsby", &["table1"], "leave out GATSBY-GA");
+const TABLE: Table = Table {
+    commands: &[("table1", &[])],
+    opts: &[SCALE, SEED, CIRCUITS, TAU, TPG, SKIP_GATSBY, JOBS],
+};
+
+fn main() -> ExitCode {
+    fbist_bench::main(&TABLE, table1)
+}
+
+fn table1(args: &Args) -> Result<(), String> {
+    let suite = suite_from_args(args)?;
+    let jobs = mini_rayon::jobs();
+    let tau = reseed_core::check_tau(TAU.name, args.num(&TAU, 31)?)?;
+    let skip_gatsby = args.switch(&SKIP_GATSBY);
+    let tpgs: Vec<TpgKind> = match args.value(&TPG) {
+        None => TpgKind::PAPER.to_vec(),
+        Some("all") => TpgKind::ALL.to_vec(),
+        Some(kind) => vec![TpgKind::parse(kind)?],
     };
 
     println!(
@@ -136,4 +139,5 @@ fn main() {
              '*' / n/a = GA gave up before full coverage."
         );
     }
+    Ok(())
 }

@@ -14,16 +14,28 @@
 //!   solve by necessary triplets alone);
 //! * other circuits split between solver-only and mixed solutions.
 
-use fbist_bench::{build_circuit, display_name, install_jobs, num, suite_from_args};
+use std::process::ExitCode;
+
+use fbist_bench::{build_circuit, display_name, suite_from_args, CIRCUITS, JOBS, SCALE, SEED, TAU};
 use fbist_setcover::{Engine, SolveConfig};
+use reseed_core::args::{Args, Opt, Table};
 use reseed_core::{FlowConfig, ReseedingFlow, TpgKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = suite_from_args(&args);
-    let jobs = install_jobs(&args);
-    let tau: usize = num(&args, "--tau", 31);
-    let greedy = args.iter().any(|a| a == "--greedy");
+const GREEDY: Opt = Opt::switch("--greedy", &["table2"], "greedy engine instead of exact");
+const TABLE: Table = Table {
+    commands: &[("table2", &[])],
+    opts: &[SCALE, SEED, CIRCUITS, TAU, GREEDY, JOBS],
+};
+
+fn main() -> ExitCode {
+    fbist_bench::main(&TABLE, table2)
+}
+
+fn table2(args: &Args) -> Result<(), String> {
+    let suite = suite_from_args(args)?;
+    let jobs = mini_rayon::jobs();
+    let tau = reseed_core::check_tau(TAU.name, args.num(&TAU, 31)?)?;
+    let greedy = args.switch(&GREEDY);
 
     println!(
         "# Table 2 — set-covering algorithm anatomy (scale {}, τ = {tau}, seed {}, engine {}, jobs {jobs})",
@@ -81,4 +93,5 @@ fn main() {
         }
     }
     println!("# '~' marks non-proven-optimal totals (greedy engine or node budget)");
+    Ok(())
 }

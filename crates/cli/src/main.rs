@@ -1,53 +1,37 @@
 //! `fbist` — command-line front end for the set-covering reseeding flow.
 //!
-//! ```text
-//! fbist gen <profile> [--scale F] [--seed N] [--out FILE]
-//! fbist stats <file.bench>
-//! fbist check <file.bench|profile> [--json]
-//! fbist atpg <file.bench|profile> [--seed N] [--static-prepass] [--static-learning]
-//! fbist reseed <file.bench|profile> [--tpg add|sub|mul|lfsr|mplfsr|wrand] [--tau N]
-//! fbist sweep <file.bench|profile> [--tpg KIND] [--taus 0,7,31,...]
-//! fbist compare <file.bench|profile> [--tpg KIND] [--tau N]
-//! fbist lp <file.bench|profile> [--tpg KIND] [--tau N]
-//! fbist serve [--store DIR]
-//! fbist profiles
-//! ```
+//! Every subcommand is a thin wrapper over the workspace libraries. Its
+//! command line is read by [`reseed_core::args`] against one option table,
+//! [`table`]: each row names a flag, its value, its help line and the
+//! subcommands (and `fbist serve` request lines) that take it. The same
+//! rows render the usage text, and one [`flow_config`] turns the parsed
+//! flags into the [`FlowConfig`] every subcommand and request computes
+//! with, so a flag's value is checked even where it is not used. Results
+//! are identical for every worker count (`--jobs`, or the `FBIST_JOBS`
+//! environment variable), backend, matrix engine and SIMD width.
 //!
 //! Circuits are resolved in a fixed namespace order: explicit `.bench`
 //! paths first (a `.bench` suffix or a path separator), then built-in
 //! profile names (`fbist profiles` lists them), then embedded circuits —
 //! so a stray file or directory in the working directory can never shadow
-//! a profile name. All subcommands are thin wrappers over the workspace
-//! libraries, and all accept `--jobs N` (0 = auto; also via the
-//! `FBIST_JOBS` environment variable) to size the worker pool the
-//! parallel stages run on, plus `--backend auto|dense|sparse` to pick the
-//! set-covering implementation, `--matrix-build per-row|batched|auto` to
-//! pick the Detection-Matrix construction engine and `--simd-width` to
-//! pick the fault-simulation block width — results are identical for
-//! every job count, backend, engine and width. A flag the subcommand does
-//! not read is an error naming the flag, never silently ignored.
+//! a profile name.
 //!
 //! All stdout goes through one writer that treats a closed pipe (EPIPE,
-//! as in `fbist profiles | head -1`) as a clean exit.
-//!
-//! `reseed`, `sweep` and `serve` additionally accept `--store DIR` (also
-//! via the `FBIST_STORE` environment variable; `--no-store` overrides
-//! both) to attach the content-addressed artifact store: finished stages
-//! are answered from disk when their keyed inputs match, byte-identically
-//! to computing them. Store hit/miss statistics go to stderr so stdout
-//! stays diffable.
+//! as in `fbist profiles | head -1`) as a clean exit. Store hit/miss
+//! statistics go to stderr so stdout stays diffable.
 
 #![forbid(unsafe_code)]
 
 use std::io::Write;
 use std::process::ExitCode;
 
-use fbist_atpg::{Atpg, AtpgConfig};
+use fbist_atpg::Atpg;
 use fbist_fault::FaultList;
 use fbist_genbench::{all_profiles, generate, profile};
 use fbist_netlist::{bench, full_scan, Netlist, NetlistStats};
 use fbist_setcover::lp;
 use fbist_store::ArtifactStore;
+use reseed_core::args::{self, Args};
 use reseed_core::{
     export, tradeoff_sweep_with, Backend, FlowConfig, Gatsby, GatsbyConfig,
     InitialReseedingBuilder, MatrixBuild, ReseedingFlow, SimdWidth, TpgKind,
@@ -56,191 +40,153 @@ use reseed_core::{
 mod serve;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `check` owns a three-way exit code (0 clean, 1 findings, 2 usage
-    // error) so scripts can distinguish "circuit has issues" from "the
-    // invocation itself was wrong"; every other subcommand keeps the
-    // classic ok/fail pair.
-    if args.first().map(String::as_str) == Some("check") {
-        return match check_subcommand_flags(&args).and_then(|()| cmd_check(&args[1..])) {
-            Ok(findings) => ExitCode::from(u8::from(findings)),
-            Err(msg) => {
-                eprintln!("fbist: {msg}");
-                eprintln!();
-                eprintln!("{USAGE}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
+        Ok(code) => ExitCode::from(code),
         Err(msg) => {
             eprintln!("fbist: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            eprintln!("{}", usage());
+            // `check` owns a three-way exit code (0 clean, 1 findings, 2
+            // usage error) so scripts can distinguish "circuit has issues"
+            // from "the invocation itself was wrong"; every other
+            // subcommand keeps the classic ok/fail pair.
+            let check = argv.first().is_some_and(|c| c == "check");
+            ExitCode::from(1 + u8::from(check))
         }
     }
 }
 
-const USAGE: &str = "\
-usage:
-  fbist profiles
-  fbist gen <profile> [--scale F] [--seed N] [--out FILE]
-  fbist stats <circuit>
-  fbist check <circuit> [--json]
-  fbist atpg <circuit> [--seed N] [--static-prepass] [--static-learning]
-  fbist reseed <circuit> [--tpg KIND] [--tau N] [--seed N] [--scale F]
-               [--csv FILE] [--rom FILE]
-  fbist sweep <circuit> [--tpg KIND] [--taus 0,7,31] [--scale F]
-  fbist compare <circuit> [--tpg KIND] [--tau N] [--scale F]
-  fbist lp <circuit> [--tpg KIND] [--tau N] [--scale F]
-  fbist serve [--store DIR]
+// ----------------------------------------------------------- option table
 
-<circuit> is resolved as: an explicit .bench path (`.bench` suffix or a
-path separator), else a built-in profile name, else an embedded circuit.
-KIND is one of add, sub, mul, lfsr, mplfsr, wrand.
---taus takes a non-empty comma-separated list; duplicate values are
-computed once, order is preserved, and every τ (like --tau) must not
-exceed 16777215. A sweep shares one first-detection simulation across
-all its τ points.
-Every subcommand also accepts --jobs N (worker threads; 0 = auto, also
-settable via the FBIST_JOBS environment variable), --backend
-auto|dense|sparse (set-covering implementation), --matrix-build
-per-row|batched|auto (Detection-Matrix construction engine; auto batches
-whenever sharing 64-lane blocks across rows saves block evaluations) and
---simd-width auto|1|2|4|8 (fault-simulation block width in 64-lane
-words; auto picks the widest that still shrinks the block count).
-Results are identical for every job count, backend, engine and SIMD
-width. Any other flag a subcommand does not read is an error.
-check runs the static analyses only (no simulation): structural errors,
-floating nets, unobservable logic, dead constants, provably untestable
-stuck-at faults (including learned redundancies from the static-learning
-implication database), and a SCOAP hard-to-test-region report. It exits
-0 when clean, 1 when anything of warning severity or worse was found, 2
-on a usage error; --json emits the report as stable machine-readable
-JSON on stdout (the \"testability\" section lists the hardest fault
-sites by SCOAP difficulty).
-atpg accepts --static-prepass to prune statically-proven-untestable
-faults before any random patterns or PODEM effort is spent on them
-(coverage over detected faults is unchanged; aborted faults may be
-reclassified as untestable), and --static-learning to build the
-recursive-learning implication database once per run: it deepens the
-pre-pass proofs (implication-proved fault equivalence and dominance) and
-seeds every PODEM search with early conflict detection, reducing
-aborted faults at equal or better coverage.
-reseed, sweep and serve accept --store DIR (default: the FBIST_STORE
-environment variable) to cache finished stages in a content-addressed
-artifact store, and --no-store to force recomputation; cached answers
-are byte-identical to computed ones. serve reads line-delimited
-`reseed ...`/`sweep ...` requests from stdin (blank line or `flush`
-evaluates the batch, `quit` or EOF exits), answers `ok <id> ...` /
-`err <id> ...` on stdout in submission order, and reports per-request
-store statistics on stderr.";
+/// The option table: every flag of every subcommand and `fbist serve`
+/// request line, once, with the commands that take it.
+#[rustfmt::skip]
+mod table {
+    use reseed_core::args::{Opt, Table};
 
-fn run(args: &[String]) -> Result<(), String> {
-    check_subcommand_flags(args)?;
-    let cmd = &args[0];
-    apply_jobs(args)?;
-    // validate --backend, --matrix-build and --simd-width globally (like
-    // --jobs) so a typo can never be silently ignored by a subcommand
-    // that does not solve a cover or build a matrix
-    parse_backend(args)?;
-    parse_matrix_build(args)?;
-    parse_simd_width(args)?;
-    let rest = &args[1..];
+    // command groups: the subcommands, plus the `serve reseed` and
+    // `serve sweep` request lines where a group includes them
+    const SUBCOMMANDS: &[&str] =
+        &["profiles", "gen", "stats", "check", "atpg", "reseed", "sweep", "compare", "lp", "serve"];
+    const ALL: &[&str] = &[
+        "profiles", "gen", "stats", "check", "atpg", "reseed", "sweep", "compare", "lp", "serve",
+        "serve reseed", "serve sweep",
+    ];
+    const LOADS_CIRCUIT: &[&str] = &[
+        "gen", "stats", "check", "atpg", "reseed", "sweep", "compare", "lp",
+        "serve reseed", "serve sweep",
+    ];
+    const RUNS_FLOW: &[&str] = &["reseed", "sweep", "compare", "lp", "serve reseed", "serve sweep"];
+    const RUNS_ATPG: &[&str] =
+        &["atpg", "reseed", "sweep", "compare", "lp", "serve reseed", "serve sweep"];
+    const ONE_TAU: &[&str] = &["reseed", "compare", "lp", "serve reseed"];
+    const HAS_STORE: &[&str] = &["reseed", "sweep", "serve"];
+
+    pub const SCALE: Opt = Opt::value("--scale", "F", LOADS_CIRCUIT, "profile scale factor (default 1)");
+    pub const SEED: Opt =
+        Opt::value("--seed", "N", LOADS_CIRCUIT, "profile seed (default 1); atpg: also the ATPG seed");
+    pub const TPG: Opt = Opt::value("--tpg", "KIND", RUNS_FLOW, "test pattern generator (default add)");
+    pub const TAU: Opt = Opt::value("--tau", "N", ONE_TAU, "evolution length τ (default 31)");
+    pub const TAUS: Opt = Opt::value("--taus", "LIST", &["sweep", "serve sweep"],
+        "comma-separated τ points (default 0,3,7,15,31,63,127,255)");
+    pub const STATIC_PREPASS: Opt = Opt::switch("--static-prepass", RUNS_ATPG,
+        "prune statically proven untestable faults before ATPG");
+    pub const STATIC_LEARNING: Opt = Opt::switch("--static-learning", RUNS_ATPG,
+        "learn implications for the pre-pass and for PODEM");
+    pub const STORE: Opt =
+        Opt::value("--store", "DIR", HAS_STORE, "artifact store (default: the FBIST_STORE directory)");
+    pub const NO_STORE: Opt =
+        Opt::switch("--no-store", HAS_STORE, "attach no store, whatever else asks for one");
+    pub const OUT: Opt = Opt::value("--out", "FILE", &["gen"], "write the .bench text to FILE");
+    pub const CSV: Opt =
+        Opt::value("--csv", "FILE", &["reseed"], "also write the selected triplets as CSV");
+    pub const ROM: Opt = Opt::value("--rom", "FILE", &["reseed"], "also write the seed ROM image");
+    pub const JSON: Opt = Opt::switch("--json", &["check"], "emit the report as stable JSON");
+    pub const JOBS: Opt =
+        Opt::value("--jobs", "N", SUBCOMMANDS, "worker threads (0 = auto, default: FBIST_JOBS)");
+    pub const BACKEND: Opt =
+        Opt::value("--backend", "B", ALL, "set-covering backend: auto, dense or sparse");
+    pub const MATRIX_BUILD: Opt = Opt::value("--matrix-build", "E", ALL,
+        "Detection-Matrix engine: per-row, batched or auto");
+    pub const SIMD_WIDTH: Opt = Opt::value("--simd-width", "W", ALL,
+        "block width in 64-lane words: auto, 1, 2, 4 or 8");
+
+    /// Every flag, in usage order.
+    const OPTS: &[Opt] = &[
+        SCALE, SEED, TPG, TAU, TAUS, STATIC_PREPASS, STATIC_LEARNING, STORE, NO_STORE,
+        OUT, CSV, ROM, JSON, JOBS, BACKEND, MATRIX_BUILD, SIMD_WIDTH,
+    ];
+
+    const CIRCUIT: &[&str] = &["<circuit>"];
+
+    /// The subcommands, with their positional arguments.
+    pub const CLI: Table = Table {
+        commands: &[
+            ("profiles", &[]), ("gen", &["<profile>"]), ("stats", CIRCUIT), ("check", CIRCUIT),
+            ("atpg", CIRCUIT), ("reseed", CIRCUIT), ("sweep", CIRCUIT), ("compare", CIRCUIT),
+            ("lp", CIRCUIT), ("serve", &[]),
+        ],
+        opts: OPTS,
+    };
+
+    /// The request lines `fbist serve` reads.
+    pub const REQUESTS: Table =
+        Table { commands: &[("serve reseed", CIRCUIT), ("serve sweep", CIRCUIT)], opts: OPTS };
+}
+
+use table::*;
+
+/// The usage text: the synopsis and flag help rendered from the table,
+/// then what the table cannot say.
+fn usage() -> String {
+    let kinds: Vec<&str> = TpgKind::ALL.iter().map(|k| k.name()).collect();
+    format!(
+        "usage:\n{}`fbist serve` reads one request per stdin line:\n{}{}\
+<circuit> is an explicit .bench path (`.bench` suffix or a path separator),
+else a built-in profile name, else an embedded circuit. KIND is one of {}.
+τ must not exceed {}; a τ list computes a repeated τ once, in order.
+Results are identical for every job count, backend, engine and SIMD width,
+and cached answers are byte-identical to computed ones.
+check runs the static analyses only (no simulation) and exits 0 when
+clean, 1 on findings of warning severity or worse, 2 on a usage error.
+serve evaluates the pending requests on a blank line or `flush`, exits on
+`quit` or EOF, and answers `ok <id> ...` / `err <id> ...` in submission
+order.",
+        CLI.synopsis("fbist "),
+        REQUESTS.synopsis(""),
+        CLI.flags(),
+        kinds.join(", "),
+        FlowConfig::MAX_TAU,
+    )
+}
+
+fn run(argv: &[String]) -> Result<u8, String> {
+    let (cmd, rest) = argv.split_first().ok_or("missing subcommand")?;
+    let args = args::parse(cmd, rest, &CLI)?;
+    if let Some(v) = args.value(&JOBS) {
+        mini_rayon::set_jobs(mini_rayon::parse_jobs(v)?);
+    }
+    // every subcommand reads its flow knobs, so a bad value fails even
+    // where the subcommand never runs the flow
+    let cfg = flow_config(&args)?;
     match cmd.as_str() {
         "profiles" => cmd_profiles(),
-        "gen" => cmd_gen(rest),
-        "stats" => cmd_stats(rest),
-        // reachable only via run()'s tests: main() intercepts `check`
-        // before run() so it can map the report onto its exit codes
-        "check" => cmd_check(rest).map(|_| ()),
-        "atpg" => cmd_atpg(rest),
-        "reseed" => cmd_reseed(rest),
-        "sweep" => cmd_sweep(rest),
-        "compare" => cmd_compare(rest),
-        "lp" => cmd_lp(rest),
-        "serve" => serve::cmd_serve(rest),
-        other => unreachable!("check_subcommand_flags knows every subcommand, got {other:?}"),
+        "gen" => cmd_gen(&args),
+        "stats" => cmd_stats(&args),
+        "check" => return cmd_check(&args).map(u8::from),
+        "atpg" => cmd_atpg(&args, &cfg),
+        "reseed" => cmd_reseed(&args, &cfg),
+        "sweep" => cmd_sweep(&args, &cfg),
+        "compare" => cmd_compare(&args, &cfg),
+        "lp" => cmd_lp(&args, &cfg),
+        "serve" => serve::cmd_serve(&args),
+        other => unreachable!("the option table knows every subcommand, got {other:?}"),
     }
+    .map(|()| 0)
 }
 
 // ---------------------------------------------------------------- helpers
-
-/// A flag a subcommand reads, and whether it takes a value: a value-taking
-/// flag consumes the next token, a switch does not.
-type Flag = (&'static str, bool);
-const VALUE: bool = true;
-const SWITCH: bool = false;
-
-/// The engine knobs; with `--jobs`, every subcommand accepts them.
-const ENGINE_FLAGS: &[Flag] = &[
-    ("--backend", VALUE),
-    ("--matrix-build", VALUE),
-    ("--simd-width", VALUE),
-];
-/// Flags of the subcommands that load a circuit and run the flow on it.
-const FLOW_FLAGS: &[Flag] = &[("--scale", VALUE), ("--seed", VALUE), ("--tpg", VALUE)];
-const STORE_FLAGS: &[Flag] = &[("--store", VALUE), ("--no-store", SWITCH)];
-
-/// The flags subcommand `cmd` reads besides `--jobs` and the engine
-/// knobs, or `None` for an unknown subcommand.
-fn subcommand_flags(cmd: &str) -> Option<&'static [&'static [Flag]]> {
-    const CIRCUIT: &[Flag] = &[("--scale", VALUE), ("--seed", VALUE)];
-    Some(match cmd {
-        "profiles" => &[],
-        "gen" => &[CIRCUIT, &[("--out", VALUE)]],
-        "stats" => &[CIRCUIT],
-        "check" => &[CIRCUIT, &[("--json", SWITCH)]],
-        "atpg" => &[
-            CIRCUIT,
-            &[("--static-prepass", SWITCH), ("--static-learning", SWITCH)],
-        ],
-        "reseed" => &[
-            FLOW_FLAGS,
-            STORE_FLAGS,
-            &[("--tau", VALUE), ("--csv", VALUE), ("--rom", VALUE)],
-        ],
-        "sweep" => &[FLOW_FLAGS, STORE_FLAGS, &[("--taus", VALUE)]],
-        "compare" | "lp" => &[FLOW_FLAGS, &[("--tau", VALUE)]],
-        "serve" => &[STORE_FLAGS],
-        _ => return None,
-    })
-}
-
-/// Rejects a missing or unknown subcommand, and any flag it does not read.
-fn check_subcommand_flags(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err("missing subcommand".into());
-    };
-    let own = subcommand_flags(cmd).ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
-    let known = [&[&[("--jobs", VALUE)][..], ENGINE_FLAGS][..], own].concat();
-    check_flags(cmd, &args[1..], &known)
-}
-
-/// Rejects the first `--flag` in `args` that is in none of the `known`
-/// lists, naming it and `cmd`. The token after a value-taking flag is its
-/// value, not a flag.
-fn check_flags(cmd: &str, args: &[String], known: &[&[Flag]]) -> Result<(), String> {
-    let mut tokens = args.iter();
-    while let Some(token) = tokens.next() {
-        if !token.starts_with("--") {
-            continue;
-        }
-        let Some(&(_, takes_value)) = known
-            .iter()
-            .flat_map(|list| list.iter())
-            .find(|(name, _)| name == token)
-        else {
-            return Err(format!("unknown flag {token} for `{cmd}`"));
-        };
-        if takes_value {
-            tokens.next();
-        }
-    }
-    Ok(())
-}
 
 /// The process's stdout, treating a closed pipe (EPIPE: the reader went
 /// away, as in `fbist profiles | head -1`) as a clean exit rather than a
@@ -278,43 +224,29 @@ macro_rules! outln {
     };
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The flow configuration of a parsed command line: each knob from its
+/// flag, or its default where the command does not take that flag.
+fn flow_config(args: &Args) -> Result<FlowConfig, String> {
+    let simd_width = |v: &str| {
+        SimdWidth::parse(v)
+            .ok_or_else(|| format!("unknown SIMD width {v:?} (expected auto, 1, 2, 4 or 8)"))
+    };
+    Ok(
+        FlowConfig::new(args.get(&TPG, TpgKind::Adder, TpgKind::parse)?)
+            .with_tau(reseed_core::check_tau(TAU.name, args.num(&TAU, 31)?)?)
+            .with_backend(args.get(&BACKEND, Backend::Auto, Backend::parse)?)
+            .with_matrix_build(args.get(&MATRIX_BUILD, MatrixBuild::Auto, MatrixBuild::parse)?)
+            .with_simd_width(args.get(&SIMD_WIDTH, SimdWidth::Auto, simd_width)?)
+            .with_static_prepass(args.switch(&STATIC_PREPASS))
+            .with_static_learning(args.switch(&STATIC_LEARNING)),
+    )
 }
 
-/// Parses `--jobs` and installs it as the process-wide worker count.
-/// `0` (and an absent flag) means auto: `FBIST_JOBS` if set, else all
-/// available cores. Job counts only affect wall-clock time — results are
-/// bit-identical for every value.
-fn apply_jobs(args: &[String]) -> Result<(), String> {
-    if let Some(v) = flag(args, "--jobs") {
-        mini_rayon::set_jobs(mini_rayon::parse_jobs(&v)?);
-    }
-    Ok(())
-}
-
-fn parse_backend(args: &[String]) -> Result<Backend, String> {
-    match flag(args, "--backend") {
-        None => Ok(Backend::Auto),
-        Some(v) => Backend::parse(&v),
-    }
-}
-
-fn parse_matrix_build(args: &[String]) -> Result<MatrixBuild, String> {
-    match flag(args, "--matrix-build") {
-        None => Ok(MatrixBuild::Auto),
-        Some(v) => MatrixBuild::parse(&v),
-    }
-}
-
-fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
-    match flag(args, "--simd-width") {
-        None => Ok(SimdWidth::Auto),
-        Some(v) => SimdWidth::parse(&v)
-            .ok_or_else(|| format!("unknown SIMD width {v:?} (expected auto, 1, 2, 4 or 8)")),
-    }
+/// The sweep's τ points, by the shared [`reseed_core::parse_tau_list`]
+/// rules (non-empty, bounded, order-preserving dedup).
+fn taus(args: &Args) -> Result<Vec<usize>, String> {
+    let default = vec![0, 3, 7, 15, 31, 63, 127, 255];
+    args.get(&TAUS, default, reseed_core::parse_tau_list)
 }
 
 /// Resolves the artifact store: `--no-store` disables it outright,
@@ -323,41 +255,32 @@ fn parse_simd_width(args: &[String]) -> Result<SimdWidth, String> {
 /// store. Open failures — the path is a file, the directory cannot be
 /// created or written — surface as clear errors instead of a silently
 /// cold cache.
-fn resolve_store(args: &[String]) -> Result<Option<ArtifactStore>, String> {
+fn resolve_store(args: &Args) -> Result<Option<ArtifactStore>, String> {
     resolve_store_from(args, std::env::var("FBIST_STORE").ok())
 }
 
-fn resolve_store_from(
-    args: &[String],
-    env: Option<String>,
-) -> Result<Option<ArtifactStore>, String> {
-    if args.iter().any(|a| a == "--no-store") {
+fn resolve_store_from(args: &Args, env: Option<String>) -> Result<Option<ArtifactStore>, String> {
+    if args.switch(&NO_STORE) {
         return Ok(None);
     }
-    let dir = match flag(args, "--store") {
-        Some(d) => {
-            if d.starts_with("--") {
-                return Err(format!("--store expects a directory, got flag {d:?}"));
-            }
-            Some(d)
+    let dir = match args.value(&STORE) {
+        Some(d) if d.starts_with("--") => {
+            let name = STORE.name;
+            return Err(format!("{name} expects a directory, got flag {d:?}"));
         }
-        None => {
-            if args.iter().any(|a| a == "--store") {
-                return Err("--store expects a directory argument".into());
-            }
-            env.filter(|s| !s.is_empty())
-        }
+        Some(d) => d.to_owned(),
+        None => match env.filter(|s| !s.is_empty()) {
+            Some(d) => d,
+            None => return Ok(None),
+        },
     };
-    match dir {
-        None => Ok(None),
-        Some(d) => ArtifactStore::open(std::path::Path::new(&d))
-            .map(Some)
-            .map_err(|e| format!("opening artifact store: {e}")),
-    }
+    ArtifactStore::open(std::path::Path::new(&dir))
+        .map(Some)
+        .map_err(|e| format!("opening artifact store: {e}"))
 }
 
 /// Builds a flow with the store from `args` attached (if any).
-fn flow_for(args: &[String], netlist: &Netlist) -> Result<ReseedingFlow, String> {
+fn flow_for(args: &Args, netlist: &Netlist) -> Result<ReseedingFlow, String> {
     match resolve_store(args)? {
         Some(store) => ReseedingFlow::with_store(netlist, store),
         None => ReseedingFlow::new(netlist),
@@ -406,43 +329,6 @@ fn simd_stats_line(flow: &ReseedingFlow, simd_width: SimdWidth) -> String {
     )
 }
 
-/// Parses `--tau` with a default, rejecting values over the bound via
-/// the shared [`reseed_core::check_tau`] diagnostic.
-fn parse_tau(args: &[String], default: usize) -> Result<usize, String> {
-    reseed_core::check_tau("--tau", parse_num(args, "--tau", default)?)
-}
-
-/// Parses `--taus` for the sweep subcommand via the shared
-/// [`reseed_core::parse_tau_list`] rules (non-empty, bounded,
-/// order-preserving dedup); an absent flag yields the default list.
-fn parse_taus(args: &[String]) -> Result<Vec<usize>, String> {
-    match flag(args, "--taus") {
-        None => Ok(vec![0, 3, 7, 15, 31, 63, 127, 255]),
-        Some(list) => reseed_core::parse_tau_list(&list),
-    }
-}
-
-fn parse_tpg(args: &[String]) -> Result<TpgKind, String> {
-    match flag(args, "--tpg").as_deref() {
-        None | Some("add") => Ok(TpgKind::Adder),
-        Some("sub") => Ok(TpgKind::Subtracter),
-        Some("mul") => Ok(TpgKind::Multiplier),
-        Some("lfsr") => Ok(TpgKind::Lfsr),
-        Some("mplfsr") => Ok(TpgKind::MultiPolyLfsr),
-        Some("wrand") => Ok(TpgKind::Weighted),
-        Some(other) => Err(format!("unknown TPG kind {other:?}")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v:?}")),
-    }
-}
-
 /// Loads a circuit. Namespaces are resolved in a fixed order:
 ///
 /// 1. an **explicit `.bench` path** — the name ends in `.bench` or
@@ -455,7 +341,7 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
 ///
 /// Sequential netlists are full-scanned. Errors name the namespace that
 /// failed instead of a bare I/O message.
-fn load_circuit(args: &[String]) -> Result<Netlist, String> {
+fn load_circuit(args: &Args) -> Result<Netlist, String> {
     let n = load_circuit_raw(args)?;
     Ok(if n.is_combinational() {
         n
@@ -468,12 +354,10 @@ fn load_circuit(args: &[String]) -> Result<Netlist, String> {
 /// the circuit as written, so flip-flop diagnostics (unconnected DFFs,
 /// scan-observed `D` pins) stay visible instead of being rewritten into
 /// pseudo-ports first.
-fn load_circuit_raw(args: &[String]) -> Result<Netlist, String> {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("missing circuit argument".into());
-    };
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
-    let seed: u64 = parse_num(args, "--seed", 1)?;
+fn load_circuit_raw(args: &Args) -> Result<Netlist, String> {
+    let name = args.positional(0).ok_or("missing circuit argument")?;
+    let scale: f64 = args.num(&SCALE, 1.0)?;
+    let seed: u64 = args.num(&SEED, 1)?;
     let explicit_path =
         name.ends_with(".bench") || name.contains('/') || name.contains(std::path::MAIN_SEPARATOR);
     let n = if explicit_path {
@@ -516,24 +400,23 @@ fn cmd_profiles() -> Result<(), String> {
         outln!("  {p}");
     }
     outln!(
-        "worker pool: {} jobs (override with --jobs N or FBIST_JOBS)",
-        mini_rayon::jobs()
+        "worker pool: {} jobs (override with {} N or FBIST_JOBS)",
+        mini_rayon::jobs(),
+        JOBS.name
     );
     Ok(())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        return Err("gen: missing profile name".into());
-    };
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let name = args.positional(0).ok_or("gen: missing profile name")?;
     let p = profile(name).ok_or_else(|| format!("no such profile {name:?}"))?;
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
-    let seed: u64 = parse_num(args, "--seed", 1)?;
+    let scale: f64 = args.num(&SCALE, 1.0)?;
+    let seed: u64 = args.num(&SEED, 1)?;
     let n = generate(&p.scaled(scale), seed);
     let text = bench::to_bench(&n);
-    match flag(args, "--out") {
+    match args.value(&OUT) {
         Some(path) => {
-            std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
             outln!("wrote {} ({})", path, NetlistStats::of(&n));
         }
         None => out!("{text}"),
@@ -541,7 +424,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &Args) -> Result<(), String> {
     let n = load_circuit(args)?;
     let s = NetlistStats::of(&n);
     outln!("{s}");
@@ -563,10 +446,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// `fbist check`: the static analyses, no simulation. Returns whether
 /// the report contains warning-or-worse findings (the exit-1 condition);
 /// `main` maps that onto the documented exit codes.
-fn cmd_check(args: &[String]) -> Result<bool, String> {
+fn cmd_check(args: &Args) -> Result<bool, String> {
     let n = load_circuit_raw(args)?;
     let report = fbist_analyze::analyze(&n);
-    if args.iter().any(|a| a == "--json") {
+    if args.switch(&JSON) {
         outln!("{}", report.to_json());
     } else {
         out!("{}", report.render_text());
@@ -574,14 +457,13 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     Ok(report.has_findings())
 }
 
-fn cmd_atpg(args: &[String]) -> Result<(), String> {
+fn cmd_atpg(args: &Args, cfg: &FlowConfig) -> Result<(), String> {
     let n = load_circuit(args)?;
     let faults = FaultList::collapsed(&n);
     let atpg = Atpg::new(&n).map_err(|e| e.to_string())?;
-    let mut cfg = AtpgConfig::default();
-    cfg.seed = parse_num(args, "--seed", cfg.seed)?;
-    cfg.static_prepass = args.iter().any(|a| a == "--static-prepass");
-    cfg.static_learning = args.iter().any(|a| a == "--static-learning");
+    let mut cfg = cfg.atpg.clone();
+    // `--seed` seeds the ATPG as well as the profile generation
+    cfg.seed = args.num(&SEED, cfg.seed)?;
     let r = atpg.run(&faults, &cfg);
     outln!(
         "{}: {} patterns, coverage {:.2} % (efficiency {:.2} %), {} random-phase detections, {} PODEM tests, {} untestable, {} aborted",
@@ -597,25 +479,18 @@ fn cmd_atpg(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_reseed(args: &[String]) -> Result<(), String> {
+fn cmd_reseed(args: &Args, cfg: &FlowConfig) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_tau(tau)
-        .with_backend(parse_backend(args)?)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?);
     let flow = flow_for(args, &n)?;
-    let report = flow.run(&cfg);
+    let report = flow.run(cfg);
     print_store_stats(&flow, cfg.simd_width);
-    if let Some(path) = flag(args, "--csv") {
-        std::fs::write(&path, export::to_csv(&report))
+    if let Some(path) = args.value(&CSV) {
+        std::fs::write(path, export::to_csv(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
         outln!("wrote triplet CSV to {path}");
     }
-    if let Some(path) = flag(args, "--rom") {
-        std::fs::write(&path, export::to_rom_image(&report))
+    if let Some(path) = args.value(&ROM) {
+        std::fs::write(path, export::to_rom_image(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
         outln!("wrote seed ROM image to {path}");
     }
@@ -661,21 +536,16 @@ fn cmd_reseed(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &Args, cfg: &FlowConfig) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let taus = parse_taus(args)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_backend(parse_backend(args)?)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?);
+    let taus = taus(args)?;
     let flow = flow_for(args, &n)?;
-    let curve = tradeoff_sweep_with(&flow, &cfg, &taus);
+    let curve = tradeoff_sweep_with(&flow, cfg, &taus);
     print_store_stats(&flow, cfg.simd_width);
     outln!(
         "{} [{}] — reseedings vs. test length (Figure 2)",
         n.name(),
-        tpg
+        cfg.tpg
     );
     outln!(
         "  {:>6} {:>10} {:>12} {:>10}",
@@ -696,28 +566,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &Args, cfg: &FlowConfig) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let backend = parse_backend(args)?;
-    let matrix_build = parse_matrix_build(args)?;
-    let simd_width = parse_simd_width(args)?;
+    let (tpg, tau) = (cfg.tpg, cfg.tau);
     let flow = ReseedingFlow::new(&n).map_err(|e| e.to_string())?;
-    let report = flow.run(
-        &FlowConfig::new(tpg)
-            .with_tau(tau)
-            .with_backend(backend)
-            .with_matrix_build(matrix_build)
-            .with_simd_width(simd_width),
-    );
+    let report = flow.run(cfg);
     let gatsby = Gatsby::new(&n).map_err(|e| e.to_string())?;
-    let init = flow.builder().build(
-        &FlowConfig::new(tpg)
-            .with_tau(tau)
-            .with_matrix_build(matrix_build)
-            .with_simd_width(simd_width),
-    );
+    let init = flow.builder().build(cfg);
     let gres = gatsby.run(
         &init.target_faults,
         &GatsbyConfig {
@@ -751,16 +606,10 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lp(args: &[String]) -> Result<(), String> {
+fn cmd_lp(args: &Args, cfg: &FlowConfig) -> Result<(), String> {
     let n = load_circuit(args)?;
-    let tpg = parse_tpg(args)?;
-    let tau: usize = parse_tau(args, 31)?;
-    let cfg = FlowConfig::new(tpg)
-        .with_tau(tau)
-        .with_matrix_build(parse_matrix_build(args)?)
-        .with_simd_width(parse_simd_width(args)?);
     let builder = InitialReseedingBuilder::new(&n).map_err(|e| e.to_string())?;
-    let init = builder.build(&cfg);
+    let init = builder.build(cfg);
     out!("{}", lp::to_lp(&init.matrix));
     Ok(())
 }
@@ -769,13 +618,35 @@ fn cmd_lp(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
+    fn argv(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses a `fbist` command line (subcommand first) against the table.
+    fn cli(list: &[&str]) -> Result<Args, String> {
+        let argv = argv(list);
+        args::parse(&argv[0], &argv[1..], &CLI)
+    }
+
+    fn simd_width(argv: &[&str]) -> Result<SimdWidth, String> {
+        flow_config(&cli(argv)?).map(|c| c.simd_width)
+    }
+
+    fn tau(argv: &[&str]) -> Result<usize, String> {
+        flow_config(&cli(argv)?).map(|c| c.tau)
+    }
+
+    fn sweep_taus(argv: &[&str]) -> Result<Vec<usize>, String> {
+        taus(&cli(argv)?)
+    }
+
+    fn store(argv: &[&str], env: Option<String>) -> Result<Option<ArtifactStore>, String> {
+        resolve_store_from(&cli(argv)?, env)
     }
 
     #[test]
     fn simd_width_flag_parses_every_width_and_defaults_to_auto() {
-        assert_eq!(parse_simd_width(&args(&[])), Ok(SimdWidth::Auto));
+        assert_eq!(simd_width(&["reseed"]), Ok(SimdWidth::Auto));
         for (v, w) in [
             ("auto", SimdWidth::Auto),
             ("1", SimdWidth::W1),
@@ -783,14 +654,14 @@ mod tests {
             ("4", SimdWidth::W4),
             ("8", SimdWidth::W8),
         ] {
-            assert_eq!(parse_simd_width(&args(&["--simd-width", v])), Ok(w));
+            assert_eq!(simd_width(&["reseed", "--simd-width", v]), Ok(w));
         }
     }
 
     #[test]
     fn simd_width_flag_rejects_garbage_with_a_clear_error() {
         for bad in ["16", "0", "wide", "3", ""] {
-            let err = parse_simd_width(&args(&["--simd-width", bad])).unwrap_err();
+            let err = simd_width(&["reseed", "--simd-width", bad]).unwrap_err();
             assert!(
                 err.contains("unknown SIMD width") && err.contains("expected auto, 1, 2, 4 or 8"),
                 "{bad:?}: {err}"
@@ -802,7 +673,7 @@ mod tests {
     fn simd_width_typo_fails_every_subcommand() {
         // validated globally like --jobs: even a subcommand that never
         // simulates must reject the typo instead of silently ignoring it
-        let err = run(&args(&["stats", "c17", "--simd-width", "16"])).unwrap_err();
+        let err = run(&argv(&["stats", "c17", "--simd-width", "16"])).unwrap_err();
         assert!(err.contains("unknown SIMD width"), "{err}");
     }
 
@@ -810,74 +681,63 @@ mod tests {
     fn tau_boundary_is_exact() {
         // the largest supported value is accepted; the next one is not
         let max = FlowConfig::MAX_TAU.to_string();
-        assert_eq!(
-            parse_tau(&args(&["--tau", &max]), 31),
-            Ok(FlowConfig::MAX_TAU)
-        );
+        assert_eq!(tau(&["reseed", "--tau", &max]), Ok(FlowConfig::MAX_TAU));
         let over = (FlowConfig::MAX_TAU + 1).to_string();
-        let err = parse_tau(&args(&["--tau", &over]), 31).unwrap_err();
+        let err = tau(&["reseed", "--tau", &over]).unwrap_err();
         assert!(err.contains("exceeds the supported maximum"), "{err}");
-        assert_eq!(parse_tau(&args(&[]), 31), Ok(31));
+        assert_eq!(tau(&["reseed"]), Ok(31));
     }
 
     #[test]
     fn taus_dedupe_preserves_first_occurrence_order() {
         assert_eq!(
-            parse_taus(&args(&["--taus", "7, 0,7,3 ,0"])),
+            sweep_taus(&["sweep", "--taus", "7, 0,7,3 ,0"]),
             Ok(vec![7, 0, 3])
         );
         let max = FlowConfig::MAX_TAU.to_string();
         assert_eq!(
-            parse_taus(&args(&["--taus", &format!("0,{max}")])),
+            sweep_taus(&["sweep", "--taus", &format!("0,{max}")]),
             Ok(vec![0, FlowConfig::MAX_TAU])
         );
     }
 
     #[test]
     fn taus_reject_empty_bad_and_oversized_values() {
-        let empty = parse_taus(&args(&["--taus", " "])).unwrap_err();
+        let empty = sweep_taus(&["sweep", "--taus", " "]).unwrap_err();
         assert!(empty.contains("empty τ list"), "{empty}");
-        let bad = parse_taus(&args(&["--taus", "1,,2"])).unwrap_err();
+        let bad = sweep_taus(&["sweep", "--taus", "1,,2"]).unwrap_err();
         assert!(bad.contains("invalid τ value"), "{bad}");
         let over = (FlowConfig::MAX_TAU + 1).to_string();
-        let huge = parse_taus(&args(&["--taus", &format!("0,{over}")])).unwrap_err();
+        let huge = sweep_taus(&["sweep", "--taus", &format!("0,{over}")]).unwrap_err();
         assert!(huge.contains("exceeds the supported maximum"), "{huge}");
     }
 
     #[test]
     fn taus_default_is_the_documented_list() {
         assert_eq!(
-            parse_taus(&args(&[])),
+            sweep_taus(&["sweep"]),
             Ok(vec![0, 3, 7, 15, 31, 63, 127, 255])
         );
     }
 
     #[test]
     fn no_store_beats_both_flag_and_env() {
-        assert!(resolve_store_from(&args(&["--no-store"]), None)
+        assert!(store(&["reseed", "--no-store"], None).unwrap().is_none());
+        assert!(store(&["reseed", "--no-store", "--store", "/tmp/x"], None)
             .unwrap()
             .is_none());
-        assert!(
-            resolve_store_from(&args(&["--no-store", "--store", "/tmp/x"]), None)
-                .unwrap()
-                .is_none()
-        );
-        assert!(
-            resolve_store_from(&args(&["--no-store"]), Some("/tmp/x".into()))
-                .unwrap()
-                .is_none()
-        );
+        assert!(store(&["reseed", "--no-store"], Some("/tmp/x".into()))
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn absent_store_flag_falls_back_to_env_then_none() {
-        assert!(resolve_store_from(&args(&[]), None).unwrap().is_none());
-        assert!(resolve_store_from(&args(&[]), Some(String::new()))
-            .unwrap()
-            .is_none());
+        assert!(store(&["reseed"], None).unwrap().is_none());
+        assert!(store(&["reseed"], Some(String::new())).unwrap().is_none());
         let dir = std::env::temp_dir().join(format!("fbist-cli-env-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = resolve_store_from(&args(&[]), Some(dir.display().to_string()))
+        let store = store(&["reseed"], Some(dir.display().to_string()))
             .unwrap()
             .expect("env var must attach a store");
         assert_eq!(store.root(), dir.as_path());
@@ -891,7 +751,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = resolve_store_from(&args(&["--store", &dir.display().to_string()]), None)
+        let store = store(&["reseed", "--store", &dir.display().to_string()], None)
             .unwrap()
             .expect("--store must attach a store");
         assert!(dir.is_dir(), "open must create the directory");
@@ -905,17 +765,19 @@ mod tests {
         let file =
             std::env::temp_dir().join(format!("fbist-cli-store-file-{}", std::process::id()));
         std::fs::write(&file, b"not a directory").unwrap();
-        let err =
-            resolve_store_from(&args(&["--store", &file.display().to_string()]), None).unwrap_err();
+        let err = store(&["reseed", "--store", &file.display().to_string()], None).unwrap_err();
         assert!(
             err.contains("opening artifact store") && err.contains("not a directory"),
             "{err}"
         );
         let _ = std::fs::remove_file(file);
         // a missing or flag-like value is a usage error, not a store named "--jobs"
-        let err = resolve_store_from(&args(&["--store"]), None).unwrap_err();
-        assert!(err.contains("expects a directory"), "{err}");
-        let err = resolve_store_from(&args(&["--store", "--jobs"]), None).unwrap_err();
+        let err = store(&["reseed", "--store"], None).unwrap_err();
+        assert!(
+            err.contains("--store") && err.contains("needs a value (--store DIR)"),
+            "{err}"
+        );
+        let err = store(&["reseed", "--store", "--jobs"], None).unwrap_err();
         assert!(err.contains("expects a directory"), "{err}");
     }
 }

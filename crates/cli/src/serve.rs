@@ -8,10 +8,10 @@
 //! sweep  <circuit> [--tpg KIND] [--taus 0,7,31] ...
 //! ```
 //!
-//! A request may carry only the flags its one-shot subcommand computes
-//! with (`--scale`, `--seed`, `--tpg`, `--tau` or `--taus`, and the engine
-//! knobs `--backend`, `--matrix-build`, `--simd-width`); any other flag
-//! answers `err <id>` naming it.
+//! A request line is parsed against the option table's `serve reseed` and
+//! `serve sweep` rows, by the same rules as a command line, and an error
+//! answers `err <id>` naming the token. The store flags get their own
+//! error: the store belongs to `fbist serve` itself.
 //!
 //! Requests accumulate into a batch; a blank line or `flush` evaluates
 //! the batch, `quit` (or EOF) evaluates what is pending and exits, and
@@ -32,16 +32,16 @@ use std::io::{BufRead, Write};
 
 use fbist_netlist::Netlist;
 use fbist_store::ArtifactStore;
+use reseed_core::args::{self, Args};
 use reseed_core::{
     cover_stage_key, sweep_request_digest, tradeoff_sweep_with, FlowConfig, ReseedingFlow,
 };
 
 use crate::{
-    check_flags, load_circuit, parse_backend, parse_matrix_build, parse_simd_width, parse_tau,
-    parse_taus, parse_tpg, resolve_store, simd_stats_line, Out, ENGINE_FLAGS, FLOW_FLAGS, VALUE,
+    flow_config, load_circuit, resolve_store, simd_stats_line, taus, Out, NO_STORE, REQUESTS, STORE,
 };
 
-pub fn cmd_serve(args: &[String]) -> Result<(), String> {
+pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let store = resolve_store(args)?;
     let stdin = std::io::stdin();
     let stderr = std::io::stderr();
@@ -75,54 +75,33 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
     let (kind, rest) = tokens
         .split_first()
         .ok_or_else(|| "empty request".to_string())?;
-    if rest.iter().any(|a| a == "--store" || a == "--no-store") {
+    if rest.iter().any(|a| a == STORE.name || a == NO_STORE.name) {
         return Err(
             "per-request store flags are not supported; pass --store to `fbist serve` itself"
                 .into(),
         );
     }
-    let tau_flag = match kind.as_str() {
-        "reseed" => "--tau",
-        "sweep" => "--taus",
-        other => {
-            return Err(format!(
-                "unknown request {other:?} (expected `reseed` or `sweep`)"
-            ))
-        }
-    };
-    check_flags(
-        kind,
-        rest,
-        &[FLOW_FLAGS, ENGINE_FLAGS, &[(tau_flag, VALUE)]],
-    )?;
-    let netlist = load_circuit(rest)?;
-    let mut config = FlowConfig::new(parse_tpg(rest)?)
-        .with_backend(parse_backend(rest)?)
-        .with_matrix_build(parse_matrix_build(rest)?)
-        .with_simd_width(parse_simd_width(rest)?);
-    match kind.as_str() {
-        "reseed" => {
-            config = config.with_tau(parse_tau(rest, 31)?);
-            let digest = cover_stage_key(&netlist, &config).to_string();
-            Ok(Parsed {
-                netlist,
-                config,
-                taus: None,
-                digest,
-            })
-        }
-        "sweep" => {
-            let taus = parse_taus(rest)?;
-            let digest = format!("sweep/{}", sweep_request_digest(&netlist, &config, &taus));
-            Ok(Parsed {
-                netlist,
-                config,
-                taus: Some(taus),
-                digest,
-            })
-        }
-        other => unreachable!("request kind {other:?} was checked above"),
+    if kind != "reseed" && kind != "sweep" {
+        return Err(format!(
+            "unknown request {kind:?} (expected `reseed` or `sweep`)"
+        ));
     }
+    let args = args::parse(&format!("serve {kind}"), rest, &REQUESTS)?;
+    let netlist = load_circuit(&args)?;
+    let config = flow_config(&args)?;
+    let (taus, digest) = if kind == "reseed" {
+        (None, cover_stage_key(&netlist, &config).to_string())
+    } else {
+        let taus = taus(&args)?;
+        let digest = format!("sweep/{}", sweep_request_digest(&netlist, &config, &taus));
+        (Some(taus), digest)
+    };
+    Ok(Parsed {
+        netlist,
+        config,
+        taus,
+        digest,
+    })
 }
 
 fn evaluate(p: &Parsed, store: &Option<ArtifactStore>) -> Evaluated {
@@ -257,7 +236,8 @@ fn serve(
     } else {
         writeln!(
             err,
-            "fbist serve: no store attached (pass --store DIR or set FBIST_STORE)"
+            "fbist serve: no store attached (pass {} DIR or set FBIST_STORE)",
+            STORE.name
         )
         .map_err(|e| e.to_string())?;
     }
@@ -413,13 +393,32 @@ mod tests {
     fn unknown_request_flags_answer_err_naming_the_flag() {
         let (out, _) = run_serve(
             None,
-            "reseed c17 --tau 1 --jobz 4\nsweep c17 --tau 3\nreseed c17 --tau 1\n",
+            "reseed c17 --tau 1 --jobz 4\nsweep c17 --tau 3\nreseed c17 --tau 1\nreseed c17 --tau\n",
         );
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(lines.len(), 4, "{out}");
         assert!(lines[0].starts_with("err 0 unknown flag --jobz"), "{out}");
         assert!(lines[1].starts_with("err 1 unknown flag --tau"), "{out}");
         assert!(lines[2].starts_with("ok 2 "), "{out}");
+        assert!(
+            lines[3].starts_with("err 3 flag --tau for `reseed` needs a value"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn static_knobs_keep_requests_apart() {
+        // the knobs are part of the cover key, so the request with them is
+        // its own evaluation, not coalesced onto the one without
+        let (out, err) = run_serve(
+            None,
+            "reseed c17 --tau 3\nreseed c17 --tau 3 --static-learning\nreseed c17 --tau 3\n",
+        );
+        assert_eq!(out.lines().count(), 3, "{out}");
+        assert!(out.lines().all(|l| l.starts_with("ok ")), "{out}");
+        let coalesced: Vec<&str> = err.lines().filter(|l| l.contains("coalesced=1")).collect();
+        assert_eq!(coalesced.len(), 1, "{err}");
+        assert!(coalesced[0].starts_with("stats 2 "), "{err}");
     }
 
     #[test]

@@ -208,6 +208,10 @@ fn check_usage_errors_exit_two() {
     assert!(stderr.contains("usage:"), "{stderr}");
     let (code, _, _) = fbist_code(&["check"]);
     assert_eq!(code, Some(2));
+    for bad in [["--simd-width", "16"], ["--jobs", "abc"]] {
+        let (code, _, stderr) = fbist_code(&["check", "c17", bad[0], bad[1]]);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -248,6 +252,20 @@ fn atpg_static_learning_keeps_coverage() {
             .map(str::to_owned)
     };
     assert_eq!(coverage(&out_off), coverage(&out_on), "{out_off}\n{out_on}");
+}
+
+#[test]
+fn reseed_takes_the_static_knobs() {
+    let (ok, stdout, stderr) = fbist(&[
+        "reseed",
+        "tiny64",
+        "--tau",
+        "7",
+        "--static-prepass",
+        "--static-learning",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("triplets"), "{stdout}");
 }
 
 #[test]
@@ -321,6 +339,7 @@ fn backend_flag_rejects_garbage_on_every_subcommand() {
         ["reseed", "c17", "--backend", "turbo"],
         ["stats", "c17", "--backend", "turbo"],
         ["lp", "c17", "--backend", "spase"],
+        ["check", "c17", "--backend", "turbo"],
     ] {
         let (ok, _, stderr) = fbist(&args);
         assert!(!ok, "{args:?} must fail");
@@ -345,6 +364,7 @@ fn matrix_build_flag_rejects_garbage_on_every_subcommand() {
         ["reseed", "c17", "--matrix-build", "perrow"],
         ["stats", "c17", "--matrix-build", "rowwise"],
         ["sweep", "c17", "--matrix-build", "batch"],
+        ["check", "c17", "--matrix-build", "rowwise"],
     ] {
         let (ok, _, stderr) = fbist(&args);
         assert!(!ok, "{args:?} must fail");
@@ -381,6 +401,38 @@ fn unknown_flags_fail_naming_the_flag() {
             stderr.contains(&format!("unknown flag {flag} ")),
             "{args:?}: {stderr}"
         );
+    }
+    // a flag without its value, a repeated flag and an extra argument are
+    // malformed lines too, each named in the message
+    for (args, message) in [
+        (
+            &["reseed", "c17", "--tau"][..],
+            "flag --tau for `reseed` needs a value",
+        ),
+        (
+            &["reseed", "c17", "--tau", "3", "--tau", "7"][..],
+            "duplicate flag --tau ",
+        ),
+        (
+            &["reseed", "c17", "--tpg", "lfsr", "--tpg", "add"][..],
+            "duplicate flag --tpg ",
+        ),
+        (
+            &["reseed", "c17", "extra", "7"][..],
+            "unexpected argument \"extra\"",
+        ),
+        (
+            &["atpg", "c17", "--static-prepass", "yes"][..],
+            "unexpected argument \"yes\"",
+        ),
+        (
+            &["reseed", "c17", "--no-store", "5"][..],
+            "unexpected argument \"5\"",
+        ),
+    ] {
+        let (code, _, stderr) = fbist_code(args);
+        assert_ne!(code, Some(0), "{args:?} must fail");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
     // values that look like flags belong to the flag before them
     let (ok, _, stderr) = fbist(&["reseed", "c17", "--store", "--jobs"]);

@@ -33,6 +33,16 @@ impl TpgKind {
     /// The paper's three accumulator TPGs, in Table-1 column order.
     pub const PAPER: [TpgKind; 3] = [TpgKind::Adder, TpgKind::Subtracter, TpgKind::Multiplier];
 
+    /// Every kind, in [`name`](Self::name) order.
+    pub const ALL: [TpgKind; 6] = [
+        TpgKind::Adder,
+        TpgKind::Subtracter,
+        TpgKind::Multiplier,
+        TpgKind::Lfsr,
+        TpgKind::MultiPolyLfsr,
+        TpgKind::Weighted,
+    ];
+
     /// Short name used in reports (`add`, `sub`, `mul`, `lfsr`, `mplfsr`,
     /// `wrand`).
     pub fn name(self) -> &'static str {
@@ -44,6 +54,20 @@ impl TpgKind {
             TpgKind::MultiPolyLfsr => "mplfsr",
             TpgKind::Weighted => "wrand",
         }
+    }
+
+    /// Parses a [`name`](Self::name), as every front end's `--tpg` does.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the value and the accepted names.
+    pub fn parse(s: &str) -> Result<TpgKind, String> {
+        TpgKind::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| {
+                format!("unknown TPG kind {s:?} (expected add, sub, mul, lfsr, mplfsr or wrand)")
+            })
     }
 
     /// Instantiates the generator at the given register width.
@@ -366,17 +390,12 @@ mod tests {
 
     #[test]
     fn tpg_kinds_build_at_width() {
-        for kind in [
-            TpgKind::Adder,
-            TpgKind::Subtracter,
-            TpgKind::Multiplier,
-            TpgKind::Lfsr,
-            TpgKind::MultiPolyLfsr,
-            TpgKind::Weighted,
-        ] {
+        for kind in TpgKind::ALL {
             let g = kind.build(24);
             assert_eq!(g.width(), 24, "{kind}");
+            assert_eq!(TpgKind::parse(kind.name()), Ok(kind));
         }
+        assert!(TpgKind::parse("bogus").unwrap_err().contains("\"bogus\""));
     }
 
     #[test]

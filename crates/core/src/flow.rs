@@ -244,14 +244,7 @@ mod tests {
     fn all_tpg_kinds_complete_the_flow() {
         let n = embedded::c17();
         let flow = ReseedingFlow::new(&n).unwrap();
-        for kind in [
-            TpgKind::Adder,
-            TpgKind::Subtracter,
-            TpgKind::Multiplier,
-            TpgKind::Lfsr,
-            TpgKind::MultiPolyLfsr,
-            TpgKind::Weighted,
-        ] {
+        for kind in TpgKind::ALL {
             let report = flow.run(&FlowConfig::new(kind).with_tau(7));
             assert!(report.covers_all_target_faults(), "{kind}");
         }

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod area;
+pub mod args;
 mod builder;
 mod config;
 pub mod export;

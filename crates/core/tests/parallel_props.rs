@@ -26,14 +26,7 @@ proptest! {
 
     #[test]
     fn report_is_invariant_in_jobs((name, seed, tau, jobs, tpg_ix) in tuple()) {
-        let tpg = [
-            TpgKind::Adder,
-            TpgKind::Subtracter,
-            TpgKind::Multiplier,
-            TpgKind::Lfsr,
-            TpgKind::MultiPolyLfsr,
-            TpgKind::Weighted,
-        ][tpg_ix];
+        let tpg = TpgKind::ALL[tpg_ix];
         let netlist = generate(&profile(name).unwrap(), seed);
         let flow = ReseedingFlow::new(&netlist).expect("genbench circuits are scan-ready");
         let base = FlowConfig::new(tpg).with_tau(tau).with_seed(seed);
