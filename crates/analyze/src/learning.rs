@@ -1,6 +1,6 @@
 //! SOCRATES-style static learning: a learned-implication database.
 //!
-//! The direct [`Implicator`](crate::Implicator) only knows implications it
+//! The direct [`Implicator`] only knows implications it
 //! can reach by forward evaluation and the classical backward rules. This
 //! module computes, once per netlist, the *indirect* implications those
 //! rules miss, using two classic techniques:
@@ -37,7 +37,7 @@
 //!
 //! The recursion depth is bounded ([`DEFAULT_RECURSION_DEPTH`] unless
 //! [`LearnedImplications::learn_with_depth`] says otherwise) and each
-//! query case-splits at most [`SPLIT_CAP`] gates of at most [`CASE_CAP`]
+//! query case-splits at most `SPLIT_CAP` gates of at most `CASE_CAP`
 //! cases each, so the build stays a small fraction of one ATPG run.
 //!
 //! Everything recorded is a property of the *fault-free* circuit and is

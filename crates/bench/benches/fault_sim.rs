@@ -1,6 +1,6 @@
 //! Fault-simulation throughput: the packed event-driven simulator vs. the
-//! naive per-(fault, pattern) reference, plus good-circuit simulation
-//!(packed vs. event-driven). The paper's efficiency argument rests on
+//! naive per-(fault, pattern) reference, plus packed good-circuit
+//! simulation. The paper's efficiency argument rests on
 //! fault simulation being cheap enough to build the whole Detection
 //! Matrix; this bench quantifies the engine that makes it so.
 
@@ -9,7 +9,7 @@ use fbist_bits::BitVec;
 use fbist_fault::{reference, FaultList, FaultSimulator};
 use fbist_genbench::{generate, profile};
 use fbist_netlist::embedded;
-use fbist_sim::{EventSimulator, PackedSimulator};
+use fbist_sim::PackedSimulator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,16 +69,6 @@ fn bench_logic_sim(c: &mut Criterion) {
     let psim = PackedSimulator::new(&n).unwrap();
     let mut group = c.benchmark_group("logic_sim");
     group.bench_function("packed_256p", |b| b.iter(|| psim.simulate_patterns(&pats)));
-    group.bench_function("event_driven_256p", |b| {
-        b.iter(|| {
-            let mut esim = EventSimulator::new(&n).unwrap();
-            let mut ones = 0usize;
-            for p in &pats {
-                ones += esim.apply(p).count_ones();
-            }
-            ones
-        })
-    });
     group.finish();
 }
 

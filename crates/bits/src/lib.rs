@@ -11,7 +11,7 @@
 //! * [`Trit`] — a single three-valued logic value;
 //! * [`BitMatrix`] — a dense two-dimensional bit matrix, the backing store
 //!   of the paper's *Detection Matrix*;
-//! * [`pack`] — helpers to transpose pattern sets into the 64-way packed
+//! * [`pack`] — helpers to transpose pattern sets into the `64·W`-way packed
 //!   ("bit-parallel") layout used by the logic and fault simulators;
 //! * [`SimWord`] / [`SimdWidth`] — the width-parametric `[u64; W]`
 //!   simulation block word and the throughput knob that selects `W`.

@@ -6,9 +6,8 @@
 //! word is the value under pattern `k` — see [`SimWord`] for the lane
 //! numbering contract). Test sets, on the other hand, are naturally
 //! stored pattern-major (one [`BitVec`] per pattern, one bit per input).
-//! This module converts between the two layouts, in both the classic
-//! one-`u64` (`W = 1`) form and the width-generic [`SimWord<W>`] form —
-//! the `u64` functions are exactly the `W = 1` instantiations.
+//! This module converts between the two layouts for any block width `W`;
+//! `W = 1` is the classic one-`u64`, 64-lane block.
 //!
 //! # Example
 //!
@@ -19,113 +18,40 @@
 //!     "01".parse::<BitVec>().unwrap(), // pattern 0: in0=1, in1=0
 //!     "10".parse::<BitVec>().unwrap(), // pattern 1: in0=0, in1=1
 //! ];
-//! let words = pack::pack_patterns(2, &patterns);
-//! assert_eq!(words[0] & 0b11, 0b01); // in0 is 1 under pattern 0 only
-//! assert_eq!(words[1] & 0b11, 0b10); // in1 is 1 under pattern 1 only
+//! let words = pack::pack_patterns::<1>(2, &patterns);
+//! assert_eq!(words[0].0[0] & 0b11, 0b01); // in0 is 1 under pattern 0 only
+//! assert_eq!(words[1].0[0] & 0b11, 0b10); // in1 is 1 under pattern 1 only
 //! ```
 
 use crate::bitvec::BitVec;
 use crate::simd::SimWord;
 
-/// Maximum number of patterns per packed `u64` block (= lanes per word).
+/// Lanes per `u64` word of a packed block (a `W`-word block has `64·W`).
 pub const BLOCK: usize = 64;
-
-/// Packs up to 64 patterns into signal-major words.
-///
-/// Returns one `u64` per input signal; bit `k` of word `i` is the value of
-/// input `i` under pattern `k`. Patterns beyond the first 64 are ignored.
-///
-/// # Panics
-///
-/// Panics if any pattern's width differs from `inputs`.
-pub fn pack_patterns(inputs: usize, patterns: &[BitVec]) -> Vec<u64> {
-    pack_patterns_w::<1>(inputs, patterns)
-        .into_iter()
-        .map(|w| w.0[0])
-        .collect()
-}
 
 /// Packs up to `64·W` patterns into signal-major [`SimWord`]s.
 ///
-/// Width-generic [`pack_patterns`]: flat lane `k` of word `i` is the value
-/// of input `i` under pattern `k`. Patterns beyond the first `64·W` are
-/// ignored.
+/// Returns one word per input signal; flat lane `k` of word `i` is the
+/// value of input `i` under pattern `k`. Patterns beyond the first `64·W`
+/// are ignored.
 ///
 /// # Panics
 ///
 /// Panics if any pattern's width differs from `inputs`.
-pub fn pack_patterns_w<const W: usize>(inputs: usize, patterns: &[BitVec]) -> Vec<SimWord<W>> {
+pub fn pack_patterns<const W: usize>(inputs: usize, patterns: &[BitVec]) -> Vec<SimWord<W>> {
     let mut words = vec![SimWord::<W>::ZERO; inputs];
     let take = patterns.len().min(SimWord::<W>::LANES);
-    pack_patterns_at_w(&mut words, 0, &patterns[..take]);
+    pack_patterns_at(&mut words, 0, &patterns[..take]);
     words
 }
 
-/// Splits a pattern set into packed blocks of at most 64 patterns each.
-///
-/// Returns `(blocks, patterns_in_last_block)`. An empty input yields no
-/// blocks.
-pub fn pack_blocks(inputs: usize, patterns: &[BitVec]) -> (Vec<Vec<u64>>, usize) {
-    let (blocks, last) = pack_blocks_w::<1>(inputs, patterns);
-    (
-        blocks
-            .into_iter()
-            .map(|b| b.into_iter().map(|w| w.0[0]).collect())
-            .collect(),
-        last,
-    )
-}
-
-/// Splits a pattern set into packed blocks of at most `64·W` patterns
-/// each, in a single pass over the patterns.
-///
-/// Returns `(blocks, patterns_in_last_block)`. An empty input yields no
-/// blocks.
+/// Unpacks signal-major [`SimWord`]s back into `count` pattern-major
+/// [`BitVec`]s. Inverse of [`pack_patterns`] for `count <= 64·W`.
 ///
 /// # Panics
 ///
-/// Panics if any pattern's width differs from `inputs`.
-pub fn pack_blocks_w<const W: usize>(
-    inputs: usize,
-    patterns: &[BitVec],
-) -> (Vec<Vec<SimWord<W>>>, usize) {
-    let lanes = SimWord::<W>::LANES;
-    let mut blocks: Vec<Vec<SimWord<W>>> = Vec::with_capacity(patterns.len().div_ceil(lanes));
-    let mut last = 0;
-    for (k, p) in patterns.iter().enumerate() {
-        let lane = k % lanes;
-        if lane == 0 {
-            blocks.push(vec![SimWord::<W>::ZERO; inputs]);
-        }
-        let block = blocks.last_mut().expect("pushed above");
-        assert_eq!(p.width(), inputs, "pattern {k} width mismatch");
-        scatter_pattern(block, lane, p);
-        last = lane + 1;
-    }
-    (blocks, last)
-}
-
-/// Unpacks signal-major words back into `count` pattern-major [`BitVec`]s.
-///
-/// Inverse of [`pack_patterns`] for `count <= 64`.
-pub fn unpack_patterns(words: &[u64], count: usize) -> Vec<BitVec> {
-    assert!(count <= BLOCK, "cannot unpack more than {BLOCK} patterns");
-    (0..count)
-        .map(|k| {
-            let mut p = BitVec::zeros(words.len());
-            for (i, &w) in words.iter().enumerate() {
-                if (w >> k) & 1 == 1 {
-                    p.set(i, true);
-                }
-            }
-            p
-        })
-        .collect()
-}
-
-/// Unpacks signal-major [`SimWord`]s back into `count` pattern-major
-/// [`BitVec`]s. Inverse of [`pack_patterns_w`] for `count <= 64·W`.
-pub fn unpack_patterns_w<const W: usize>(words: &[SimWord<W>], count: usize) -> Vec<BitVec> {
+/// Panics if `count` exceeds the block's `64·W` lanes.
+pub fn unpack_patterns<const W: usize>(words: &[SimWord<W>], count: usize) -> Vec<BitVec> {
     assert!(
         count <= SimWord::<W>::LANES,
         "cannot unpack more than {} patterns",
@@ -144,16 +70,9 @@ pub fn unpack_patterns_w<const W: usize>(words: &[SimWord<W>], count: usize) -> 
         .collect()
 }
 
-/// A mask with the low `n` bits set — selects the valid pattern lanes of a
-/// partially filled block.
-///
-/// ```
-/// assert_eq!(fbist_bits::pack::lane_mask(64), u64::MAX);
-/// assert_eq!(fbist_bits::pack::lane_mask(3), 0b111);
-/// assert_eq!(fbist_bits::pack::lane_mask(0), 0);
-/// ```
+/// A mask with the low `n` bits of one word set.
 #[inline]
-pub const fn lane_mask(n: usize) -> u64 {
+const fn lane_mask(n: usize) -> u64 {
     if n >= BLOCK {
         u64::MAX
     } else if n == 0 {
@@ -163,50 +82,27 @@ pub const fn lane_mask(n: usize) -> u64 {
     }
 }
 
-/// A [`SimWord`] mask with the low `n` flat lanes set — the width-generic
-/// [`lane_mask`].
-#[inline]
-pub fn lane_mask_w<const W: usize>(n: usize) -> SimWord<W> {
-    let mut out = SimWord::<W>::ZERO;
-    for (i, w) in out.0.iter_mut().enumerate() {
-        *w = lane_mask(n.saturating_sub(i * BLOCK));
-    }
-    out
-}
-
-/// A mask with `len` bits set starting at lane `start` — selects one *lane
-/// group* of a shared block (the lanes one batched row occupies).
-///
-/// ```
-/// assert_eq!(fbist_bits::pack::lane_group_mask(0, 64), u64::MAX);
-/// assert_eq!(fbist_bits::pack::lane_group_mask(2, 3), 0b11100);
-/// assert_eq!(fbist_bits::pack::lane_group_mask(60, 4), 0xF000_0000_0000_0000);
-/// assert_eq!(fbist_bits::pack::lane_group_mask(5, 0), 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the group overruns the block — `start + len > 64`, including
-/// `start + len` combinations that would overflow `usize` (checked
-/// arithmetic, so release builds panic instead of silently wrapping into
-/// an in-range group).
-#[inline]
-pub const fn lane_group_mask(start: usize, len: usize) -> u64 {
-    match start.checked_add(len) {
-        Some(end) if end <= BLOCK => lane_mask(len) << start,
-        _ => panic!("lane group overruns the block"),
-    }
-}
-
 /// A [`SimWord`] mask with `len` flat lanes set starting at lane `start` —
-/// the width-generic [`lane_group_mask`].
+/// selects one *lane group* of a shared block (the lanes one batched row
+/// occupies).
+///
+/// ```
+/// use fbist_bits::{pack::lane_group_mask, SimWord};
+///
+/// assert_eq!(lane_group_mask::<1>(0, 64), SimWord::MAX);
+/// assert_eq!(lane_group_mask::<1>(2, 3).0, [0b11100]);
+/// assert_eq!(lane_group_mask::<2>(60, 10).0, [0xF000_0000_0000_0000, 0b11_1111]);
+/// assert_eq!(lane_group_mask::<1>(5, 0), SimWord::ZERO);
+/// ```
 ///
 /// # Panics
 ///
-/// Panics (checked arithmetic, never silent wraparound) if the group
-/// overruns the flat lane space: `start + len > 64·W`.
+/// Panics if the group overruns the flat lane space — `start + len >
+/// 64·W`, including `start + len` combinations that would overflow
+/// `usize` (checked arithmetic, so release builds panic instead of
+/// silently wrapping into an in-range group).
 #[inline]
-pub fn lane_group_mask_w<const W: usize>(start: usize, len: usize) -> SimWord<W> {
+pub fn lane_group_mask<const W: usize>(start: usize, len: usize) -> SimWord<W> {
     match start.checked_add(len) {
         Some(end) if end <= SimWord::<W>::LANES => {}
         _ => panic!("lane group overruns the block"),
@@ -220,45 +116,18 @@ pub fn lane_group_mask_w<const W: usize>(start: usize, len: usize) -> SimWord<W>
     out
 }
 
-/// Packs patterns into an existing block of signal-major words, occupying
-/// the lanes `lane_offset..lane_offset + patterns.len()`.
+/// Packs patterns into an existing block of signal-major [`SimWord`]s,
+/// occupying the flat lanes `lane_offset..lane_offset + patterns.len()`.
 ///
 /// This is the building block of cross-row batching: several pattern
-/// segments from different rows share one 64-lane block, each at its own
-/// lane offset. Lanes outside the group are left untouched.
-///
-/// # Panics
-///
-/// Panics if the group overruns the block or a pattern's width differs
-/// from `words.len()`.
-pub fn pack_patterns_at(words: &mut [u64], lane_offset: usize, patterns: &[BitVec]) {
-    assert!(
-        lane_offset + patterns.len() <= BLOCK,
-        "lane group overruns the block: offset {lane_offset} + {} patterns",
-        patterns.len()
-    );
-    for (k, p) in patterns.iter().enumerate() {
-        assert_eq!(p.width(), words.len(), "pattern {k} width mismatch");
-        let bit = 1u64 << (lane_offset + k);
-        for (i, &pw) in p.as_words().iter().enumerate() {
-            let mut m = pw;
-            while m != 0 {
-                words[i * BLOCK + m.trailing_zeros() as usize] |= bit;
-                m &= m - 1;
-            }
-        }
-    }
-}
-
-/// Packs patterns into an existing block of signal-major [`SimWord`]s,
-/// occupying the flat lanes `lane_offset..lane_offset + patterns.len()` —
-/// the width-generic [`pack_patterns_at`].
+/// segments from different rows share one block, each at its own lane
+/// offset. Lanes outside the group are left untouched.
 ///
 /// # Panics
 ///
 /// Panics if the group overruns the flat lane space or a pattern's width
 /// differs from `words.len()`.
-pub fn pack_patterns_at_w<const W: usize>(
+pub fn pack_patterns_at<const W: usize>(
     words: &mut [SimWord<W>],
     lane_offset: usize,
     patterns: &[BitVec],
@@ -270,22 +139,15 @@ pub fn pack_patterns_at_w<const W: usize>(
     );
     for (k, p) in patterns.iter().enumerate() {
         assert_eq!(p.width(), words.len(), "pattern {k} width mismatch");
-        scatter_pattern(words, lane_offset + k, p);
-    }
-}
-
-/// Sets flat lane `lane` of `words[i]` for every set bit `i` of `p`,
-/// scanning the pattern word-at-a-time (one `trailing_zeros` per set bit
-/// instead of one `get` per input).
-#[inline]
-fn scatter_pattern<const W: usize>(words: &mut [SimWord<W>], lane: usize, p: &BitVec) {
-    let wi = lane / BLOCK;
-    let bit = 1u64 << (lane % BLOCK);
-    for (i, &pw) in p.as_words().iter().enumerate() {
-        let mut m = pw;
-        while m != 0 {
-            words[i * BLOCK + m.trailing_zeros() as usize].0[wi] |= bit;
-            m &= m - 1;
+        let lane = lane_offset + k;
+        let (wi, bit) = (lane / BLOCK, 1u64 << (lane % BLOCK));
+        // word-at-a-time scan: one `trailing_zeros` per set input bit
+        for (i, &pw) in p.as_words().iter().enumerate() {
+            let mut m = pw;
+            while m != 0 {
+                words[i * BLOCK + m.trailing_zeros() as usize].0[wi] |= bit;
+                m &= m - 1;
+            }
         }
     }
 }
@@ -297,17 +159,11 @@ mod tests {
     #[test]
     fn pack_unpack_roundtrip() {
         let patterns: Vec<BitVec> = (0..10u64).map(|v| BitVec::from_u64(7, v * 37)).collect();
-        let words = pack_patterns(7, &patterns);
-        let back = unpack_patterns(&words, 10);
-        assert_eq!(back, patterns);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_wide() {
+        let words = pack_patterns::<1>(7, &patterns);
+        assert_eq!(unpack_patterns(&words, 10), patterns);
         let patterns: Vec<BitVec> = (0..200u64).map(|v| BitVec::from_u64(9, v * 37)).collect();
-        let words = pack_patterns_w::<4>(9, &patterns);
-        let back = unpack_patterns_w(&words, 200);
-        assert_eq!(back, patterns);
+        let words = pack_patterns::<4>(9, &patterns);
+        assert_eq!(unpack_patterns(&words, 200), patterns);
     }
 
     #[test]
@@ -315,121 +171,81 @@ mod tests {
         // lane k of a W-wide block == lane k%64 of narrow block k/64: the
         // flat-lane contract that makes every width byte-identical.
         let patterns: Vec<BitVec> = (0..130u64).map(|v| BitVec::from_u64(7, v * 31)).collect();
-        let wide = pack_patterns_w::<4>(7, &patterns);
-        let (narrow, _) = pack_blocks(7, &patterns);
-        for i in 0..7 {
-            for (b, nb) in narrow.iter().enumerate() {
-                assert_eq!(wide[i].0[b], nb[i], "input {i} word {b}");
+        let wide = pack_patterns::<4>(7, &patterns);
+        for (b, chunk) in patterns.chunks(BLOCK).enumerate() {
+            let narrow = pack_patterns::<1>(7, chunk);
+            for i in 0..7 {
+                assert_eq!(wide[i].0[b], narrow[i].0[0], "input {i} word {b}");
             }
-            assert_eq!(wide[i].0[3], 0, "lanes past the pattern count stay 0");
+        }
+        for w in &wide {
+            assert_eq!(w.0[3], 0, "lanes past the pattern count stay 0");
         }
     }
 
     #[test]
-    fn pack_blocks_chunks() {
+    fn patterns_past_the_block_are_ignored() {
         let patterns: Vec<BitVec> = (0..130u64).map(|v| BitVec::from_u64(5, v)).collect();
-        let (blocks, last) = pack_blocks(5, &patterns);
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(last, 2);
-        let back = unpack_patterns(&blocks[2], last);
-        assert_eq!(back[0], patterns[128]);
-        assert_eq!(back[1], patterns[129]);
+        let words = pack_patterns::<2>(5, &patterns);
+        assert_eq!(unpack_patterns(&words, 128), patterns[..128]);
+        assert!(pack_patterns::<1>(4, &[]).iter().all(SimWord::is_zero));
     }
 
     #[test]
-    fn pack_blocks_wide_chunks() {
-        let patterns: Vec<BitVec> = (0..300u64).map(|v| BitVec::from_u64(5, v)).collect();
-        let (blocks, last) = pack_blocks_w::<2>(5, &patterns);
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(last, 300 - 2 * 128);
-        let back = unpack_patterns_w(&blocks[2], last);
-        assert_eq!(back, patterns[256..]);
-    }
-
-    #[test]
-    fn empty_pattern_set() {
-        let (blocks, last) = pack_blocks(4, &[]);
-        assert!(blocks.is_empty());
-        assert_eq!(last, 0);
-    }
-
-    #[test]
-    fn lane_masks() {
-        assert_eq!(lane_mask(1), 1);
-        assert_eq!(lane_mask(63).count_ones(), 63);
-    }
-
-    #[test]
-    fn lane_masks_wide() {
-        assert_eq!(lane_mask_w::<2>(0), SimWord::ZERO);
-        assert_eq!(lane_mask_w::<2>(128), SimWord::MAX);
-        let m = lane_mask_w::<2>(70);
-        assert_eq!(m.0, [u64::MAX, 0b11_1111]);
-        assert_eq!(m.count_ones(), 70);
+    #[should_panic(expected = "cannot unpack more than 64 patterns")]
+    fn unpack_past_the_block_panics() {
+        let _ = unpack_patterns(&[SimWord::<1>::ZERO; 3], 65);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let p = vec![BitVec::zeros(3)];
-        let _ = pack_patterns(4, &p);
+        let _ = pack_patterns::<1>(4, &p);
     }
 
     #[test]
     fn pack_at_matches_whole_block_packing() {
         // packing two segments at their offsets == packing the
-        // concatenation in one go
-        let a: Vec<BitVec> = (0..5u64).map(|v| BitVec::from_u64(6, v * 11)).collect();
-        let b: Vec<BitVec> = (0..7u64).map(|v| BitVec::from_u64(6, v * 23)).collect();
-        let mut concat = a.clone();
-        concat.extend(b.iter().cloned());
-        let whole = pack_patterns(6, &concat);
-        let mut words = vec![0u64; 6];
-        pack_patterns_at(&mut words, 0, &a);
-        pack_patterns_at(&mut words, 5, &b);
-        assert_eq!(words, whole);
-    }
-
-    #[test]
-    fn pack_at_wide_matches_whole_block_packing() {
-        let a: Vec<BitVec> = (0..80u64).map(|v| BitVec::from_u64(6, v * 11)).collect();
-        let b: Vec<BitVec> = (0..47u64).map(|v| BitVec::from_u64(6, v * 23)).collect();
-        let mut concat = a.clone();
-        concat.extend(b.iter().cloned());
-        let whole = pack_patterns_w::<2>(6, &concat);
-        let mut words = vec![SimWord::<2>::ZERO; 6];
-        pack_patterns_at_w(&mut words, 0, &a);
-        pack_patterns_at_w(&mut words, 80, &b);
-        assert_eq!(words, whole);
+        // concatenation in one go, within one word and across words
+        for (na, nb) in [(5u64, 7u64), (80, 47)] {
+            let a: Vec<BitVec> = (0..na).map(|v| BitVec::from_u64(6, v * 11)).collect();
+            let b: Vec<BitVec> = (0..nb).map(|v| BitVec::from_u64(6, v * 23)).collect();
+            let mut concat = a.clone();
+            concat.extend(b.iter().cloned());
+            let whole = pack_patterns::<2>(6, &concat);
+            let mut words = vec![SimWord::<2>::ZERO; 6];
+            pack_patterns_at(&mut words, 0, &a);
+            pack_patterns_at(&mut words, a.len(), &b);
+            assert_eq!(words, whole);
+        }
     }
 
     #[test]
     fn lane_group_masks_tile_the_block() {
-        assert_eq!(lane_group_mask(0, 10) | lane_group_mask(10, 54), u64::MAX);
-        assert_eq!(lane_group_mask(0, 10) & lane_group_mask(10, 54), 0);
-        assert_eq!(lane_group_mask(63, 1), 1u64 << 63);
-    }
-
-    #[test]
-    fn lane_group_masks_wide() {
+        let (a, b) = (lane_group_mask::<1>(0, 10), lane_group_mask::<1>(10, 54));
+        assert_eq!(a | b, SimWord::MAX);
+        assert_eq!(a & b, SimWord::ZERO);
+        assert_eq!(lane_group_mask::<1>(63, 1).0, [1u64 << 63]);
+        assert_eq!(lane_group_mask::<1>(0, 63).count_ones(), 63);
         // a group straddling word boundaries sets exactly its flat lanes
-        let m = lane_group_mask_w::<4>(60, 10);
+        let m = lane_group_mask::<4>(60, 10);
         assert_eq!(m.0, [0xF000_0000_0000_0000, 0b11_1111, 0, 0]);
         assert_eq!(m.count_ones(), 10);
         assert_eq!(m.trailing_zeros(), 60);
-        assert_eq!(lane_group_mask_w::<4>(0, 256), SimWord::MAX);
-        assert_eq!(lane_group_mask_w::<4>(100, 0), SimWord::ZERO);
-        // tiles the flat space like the u64 version tiles 64 lanes
-        let a = lane_group_mask_w::<2>(0, 100);
-        let b = lane_group_mask_w::<2>(100, 28);
+        assert_eq!(lane_group_mask::<4>(0, 256), SimWord::MAX);
+        assert_eq!(lane_group_mask::<4>(100, 0), SimWord::ZERO);
+        let a = lane_group_mask::<2>(0, 100);
+        let b = lane_group_mask::<2>(100, 28);
         assert_eq!(a | b, SimWord::MAX);
         assert_eq!(a & b, SimWord::ZERO);
+        assert_eq!(lane_group_mask::<2>(0, 70).0, [u64::MAX, 0b11_1111]);
     }
 
     #[test]
     #[should_panic(expected = "overruns")]
     fn lane_group_overrun_panics() {
-        let mut words = vec![0u64; 2];
+        let mut words = vec![SimWord::<1>::ZERO; 2];
         let patterns = vec![BitVec::zeros(2); 10];
         pack_patterns_at(&mut words, 60, &patterns);
     }
@@ -437,7 +253,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overruns")]
     fn lane_group_mask_overrun_panics() {
-        let _ = lane_group_mask(60, 5);
+        let _ = lane_group_mask::<1>(60, 5);
     }
 
     #[test]
@@ -445,12 +261,12 @@ mod tests {
     fn lane_group_mask_overflow_panics_not_wraps() {
         // start + len overflows usize; without checked arithmetic the sum
         // wraps into range and silently yields a bogus in-range mask
-        let _ = lane_group_mask(usize::MAX, 2);
+        let _ = lane_group_mask::<1>(usize::MAX, 2);
     }
 
     #[test]
     #[should_panic(expected = "overruns")]
     fn lane_group_mask_wide_overflow_panics_not_wraps() {
-        let _ = lane_group_mask_w::<8>(usize::MAX, 2);
+        let _ = lane_group_mask::<8>(usize::MAX, 2);
     }
 }

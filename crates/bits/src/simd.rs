@@ -209,15 +209,15 @@ impl SimdWidth {
     }
 
     /// Parses a CLI name (`auto`, `1`, `2`, `4`, `8`).
-    pub fn parse(s: &str) -> Option<SimdWidth> {
-        match s {
-            "auto" => Some(SimdWidth::Auto),
-            "1" => Some(SimdWidth::W1),
-            "2" => Some(SimdWidth::W2),
-            "4" => Some(SimdWidth::W4),
-            "8" => Some(SimdWidth::W8),
-            _ => None,
-        }
+    ///
+    /// # Errors
+    ///
+    /// Any other name is an error naming the value and the accepted ones.
+    pub fn parse(s: &str) -> Result<SimdWidth, String> {
+        SimdWidth::ALL
+            .into_iter()
+            .find(|w| w.name() == s)
+            .ok_or_else(|| format!("unknown SIMD width {s:?} (expected auto, 1, 2, 4 or 8)"))
     }
 
     /// The pinned width in words, or `None` for `Auto`.
@@ -318,12 +318,15 @@ mod tests {
     #[test]
     fn simd_width_names_roundtrip() {
         for w in SimdWidth::ALL {
-            assert_eq!(SimdWidth::parse(w.name()), Some(w));
+            assert_eq!(SimdWidth::parse(w.name()), Ok(w));
             assert_eq!(format!("{w}"), w.name());
         }
-        assert_eq!(SimdWidth::parse("0"), None);
-        assert_eq!(SimdWidth::parse("16"), None);
-        assert_eq!(SimdWidth::parse("wide"), None);
+        assert_eq!(
+            SimdWidth::parse("16"),
+            Err("unknown SIMD width \"16\" (expected auto, 1, 2, 4 or 8)".to_owned())
+        );
+        assert!(SimdWidth::parse("0").is_err());
+        assert!(SimdWidth::parse("wide").is_err());
     }
 
     #[test]

@@ -227,16 +227,12 @@ macro_rules! outln {
 /// The flow configuration of a parsed command line: each knob from its
 /// flag, or its default where the command does not take that flag.
 fn flow_config(args: &Args) -> Result<FlowConfig, String> {
-    let simd_width = |v: &str| {
-        SimdWidth::parse(v)
-            .ok_or_else(|| format!("unknown SIMD width {v:?} (expected auto, 1, 2, 4 or 8)"))
-    };
     Ok(
         FlowConfig::new(args.get(&TPG, TpgKind::Adder, TpgKind::parse)?)
             .with_tau(reseed_core::check_tau(TAU.name, args.num(&TAU, 31)?)?)
             .with_backend(args.get(&BACKEND, Backend::Auto, Backend::parse)?)
             .with_matrix_build(args.get(&MATRIX_BUILD, MatrixBuild::Auto, MatrixBuild::parse)?)
-            .with_simd_width(args.get(&SIMD_WIDTH, SimdWidth::Auto, simd_width)?)
+            .with_simd_width(args.get(&SIMD_WIDTH, SimdWidth::Auto, SimdWidth::parse)?)
             .with_static_prepass(args.switch(&STATIC_PREPASS))
             .with_static_learning(args.switch(&STATIC_LEARNING)),
     )

@@ -237,7 +237,7 @@ impl InitialReseedingBuilder {
     ) -> Vec<(usize, T)> {
         let lengths: Vec<usize> = rows.iter().map(Vec::len).collect();
         let total_lanes: usize = lengths.iter().sum();
-        let plan = BatchPlan::with_width(&lengths, simd_width.resolve(total_lanes));
+        let plan = BatchPlan::new(&lengths, simd_width.resolve(total_lanes));
         let ranges = plan.block_count().div_ceil(Self::BLOCK_CHUNK);
         let partials = mini_rayon::par_map_indexed(jobs, ranges, |i| {
             let lo = i * Self::BLOCK_CHUNK;

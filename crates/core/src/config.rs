@@ -419,9 +419,9 @@ mod tests {
     #[test]
     fn simd_width_parse_roundtrip() {
         for sw in SimdWidth::ALL {
-            assert_eq!(SimdWidth::parse(sw.name()), Some(sw));
+            assert_eq!(SimdWidth::parse(sw.name()), Ok(sw));
         }
-        assert_eq!(SimdWidth::parse("16"), None);
+        assert!(SimdWidth::parse("16").is_err());
         assert_eq!(FlowConfig::new(TpgKind::Adder).simd_width, SimdWidth::Auto);
         let cfg = FlowConfig::new(TpgKind::Adder).with_simd_width(SimdWidth::W4);
         assert_eq!(cfg.simd_width, SimdWidth::W4);

@@ -46,18 +46,11 @@ pub struct LaneGroup {
 }
 
 impl LaneGroup {
-    /// The block lanes this group occupies, as a 64-bit mask. Only valid
-    /// for groups of a width-1 plan; wider plans use
-    /// [`mask_w`](Self::mask_w).
+    /// The flat block lanes this group occupies, as a width-`W` mask (`W`
+    /// must be at least the plan's width).
     #[inline]
-    pub fn mask(&self) -> u64 {
+    pub fn mask<const W: usize>(&self) -> SimWord<W> {
         pack::lane_group_mask(self.lane_offset as usize, self.len as usize)
-    }
-
-    /// The flat block lanes this group occupies, as a width-`W` mask.
-    #[inline]
-    pub fn mask_w<const W: usize>(&self) -> SimWord<W> {
-        pack::lane_group_mask_w(self.lane_offset as usize, self.len as usize)
     }
 }
 
@@ -89,7 +82,7 @@ pub struct BatchBlock {
 ///
 /// // 20 rows of 6 patterns each (τ = 5): 120 lanes in 2 blocks instead
 /// // of the 20 blocks the per-row build would evaluate.
-/// let plan = BatchPlan::new(&[6; 20]);
+/// let plan = BatchPlan::new(&[6; 20], 1);
 /// assert_eq!(plan.block_count(), 2);
 /// assert_eq!(plan.total_lanes(), 120);
 /// assert!(plan.occupancy() > 0.9);
@@ -97,7 +90,7 @@ pub struct BatchBlock {
 /// let groups: usize = plan.blocks().iter().map(|b| b.groups.len()).sum();
 /// assert_eq!(groups, 21);
 /// // at width 2 (128-lane blocks) the same rows fit one block whole
-/// let wide = BatchPlan::with_width(&[6; 20], 2);
+/// let wide = BatchPlan::new(&[6; 20], 2);
 /// assert_eq!(wide.block_count(), 1);
 /// let groups: usize = wide.blocks().iter().map(|b| b.groups.len()).sum();
 /// assert_eq!(groups, 20);
@@ -111,13 +104,6 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Plans shared 64-lane (`W = 1`) blocks for rows of the given
-    /// pattern-stream lengths — [`with_width`](Self::with_width) at the
-    /// classic one-`u64` width.
-    pub fn new(row_lengths: &[usize]) -> BatchPlan {
-        BatchPlan::with_width(row_lengths, 1)
-    }
-
     /// Plans shared `64·width_words`-lane blocks for rows of the given
     /// pattern-stream lengths, concatenating streams in row order.
     /// Zero-length rows occupy no lanes (they simply detect nothing).
@@ -129,7 +115,7 @@ impl BatchPlan {
     /// `τ + 1`-pattern expansions are bounded long before this by
     /// `FlowConfig::MAX_TAU`, but the planner checks rather than wrapping
     /// silently in release builds).
-    pub fn with_width(row_lengths: &[usize], width_words: usize) -> BatchPlan {
+    pub fn new(row_lengths: &[usize], width_words: usize) -> BatchPlan {
         assert!(
             SIMD_WIDTHS.contains(&width_words),
             "BatchPlan: unsupported SIMD width {width_words} (expected one of {SIMD_WIDTHS:?})"
@@ -228,7 +214,7 @@ mod tests {
 
     #[test]
     fn plan_concatenates_streams() {
-        let plan = BatchPlan::new(&[4, 4, 4]);
+        let plan = BatchPlan::new(&[4, 4, 4], 1);
         assert_eq!(plan.block_count(), 1);
         assert_eq!(plan.total_lanes(), 12);
         assert_eq!(plan.width_words(), 1);
@@ -238,13 +224,13 @@ mod tests {
         assert_eq!(b.groups[1].row, 1);
         assert_eq!(b.groups[1].lane_offset, 4);
         assert_eq!(b.groups[2].lane_offset, 8);
-        assert_eq!(b.groups[1].mask(), 0b1111_0000);
+        assert_eq!(b.groups[1].mask::<1>().0, [0b1111_0000]);
     }
 
     #[test]
     fn straddling_rows_split_into_groups() {
         // 60 + 10: the second row spans the block boundary
-        let plan = BatchPlan::new(&[60, 10]);
+        let plan = BatchPlan::new(&[60, 10], 1);
         assert_eq!(plan.block_count(), 2);
         let b0 = &plan.blocks()[0];
         let b1 = &plan.blocks()[1];
@@ -273,7 +259,7 @@ mod tests {
 
     #[test]
     fn long_rows_fill_whole_blocks() {
-        let plan = BatchPlan::new(&[130]);
+        let plan = BatchPlan::new(&[130], 1);
         assert_eq!(plan.block_count(), 3);
         assert_eq!(plan.blocks()[2].lanes_used, 2);
         let starts: Vec<u32> = plan
@@ -289,9 +275,9 @@ mod tests {
         // the flat lane stream is identical at every width: group (row,
         // start, len) runs agree once narrow blocks are re-chunked
         let lengths = [0usize, 4, 1, 60, 130, 7, 0, 64, 33];
-        let narrow = BatchPlan::new(&lengths);
+        let narrow = BatchPlan::new(&lengths, 1);
         for &w in &[2usize, 4, 8] {
-            let wide = BatchPlan::with_width(&lengths, w);
+            let wide = BatchPlan::new(&lengths, w);
             assert_eq!(wide.width_words(), w);
             assert_eq!(wide.total_lanes(), narrow.total_lanes());
             assert_eq!(
@@ -315,13 +301,13 @@ mod tests {
     #[test]
     fn wide_groups_exceed_u8_lane_offsets() {
         // a W=8 block has 512 lanes; offsets past 255 must survive intact
-        let plan = BatchPlan::with_width(&[300, 212], 8);
+        let plan = BatchPlan::new(&[300, 212], 8);
         assert_eq!(plan.block_count(), 1);
         let b = &plan.blocks()[0];
         assert_eq!(b.lanes_used, 512);
         assert_eq!(b.groups[1].lane_offset, 300);
         assert_eq!(b.groups[1].len, 212);
-        let m = b.groups[1].mask_w::<8>();
+        let m = b.groups[1].mask::<8>();
         assert_eq!(m.count_ones(), 212);
         assert_eq!(m.trailing_zeros(), 300);
     }
@@ -329,12 +315,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unsupported SIMD width")]
     fn bogus_width_rejected() {
-        let _ = BatchPlan::with_width(&[4; 4], 3);
+        let _ = BatchPlan::new(&[4; 4], 3);
     }
 
     #[test]
     fn zero_length_rows_are_skipped_but_counted() {
-        let plan = BatchPlan::new(&[0, 3, 0]);
+        let plan = BatchPlan::new(&[0, 3, 0], 1);
         assert_eq!(plan.rows(), 3);
         assert_eq!(plan.block_count(), 1);
         assert_eq!(plan.blocks()[0].groups.len(), 1);
@@ -343,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let plan = BatchPlan::new(&[]);
+        let plan = BatchPlan::new(&[], 1);
         assert_eq!(plan.block_count(), 0);
         assert_eq!(plan.occupancy(), 1.0);
     }
@@ -351,11 +337,11 @@ mod tests {
     #[test]
     fn occupancy_improves_on_per_row() {
         // per-row at τ = 3: 4/64 = 6.25 %; batched with 32 rows: 100 %
-        let plan = BatchPlan::new(&[4; 32]);
+        let plan = BatchPlan::new(&[4; 32], 1);
         assert_eq!(plan.block_count(), 2);
         assert_eq!(plan.occupancy(), 1.0);
         // and a width-2 plan fits them in one 128-lane block
-        let wide = BatchPlan::with_width(&[4; 32], 2);
+        let wide = BatchPlan::new(&[4; 32], 2);
         assert_eq!(wide.block_count(), 1);
         assert_eq!(wide.occupancy(), 1.0);
     }

@@ -55,7 +55,7 @@
 //! could only have re-confirmed a known detection (the same argument that
 //! makes classical per-row fault dropping exact). The batched matrix is
 //! therefore bit-identical to the per-row one — checked against the naive
-//! [`reference`] simulator in this crate's tests and pinned for every
+//! [`reference`](mod@reference) simulator in this crate's tests and pinned for every
 //! profile × TPG × `jobs` × `τ` combination by the
 //! `batched_matrix_equivalence` suite.
 //!

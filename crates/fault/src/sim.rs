@@ -291,7 +291,7 @@ impl FaultSimulator {
         faults: &FaultList,
         width_words: usize,
     ) -> S {
-        let plan = BatchPlan::with_width(&[patterns.len()], width_words);
+        let plan = BatchPlan::new(&[patterns.len()], width_words);
         self.kernel(&plan, 0..plan.block_count(), &[patterns], faults)
             .pop()
             .map_or_else(|| S::new(patterns.len(), faults.len()), |(_, sink)| sink)
@@ -307,10 +307,10 @@ impl FaultSimulator {
         faults: &FaultList,
     ) -> Vec<(usize, S)> {
         match plan.width_words() {
-            1 => self.kernel_w::<1, S, R>(plan, range, rows, faults),
-            2 => self.kernel_w::<2, S, R>(plan, range, rows, faults),
-            4 => self.kernel_w::<4, S, R>(plan, range, rows, faults),
-            8 => self.kernel_w::<8, S, R>(plan, range, rows, faults),
+            1 => self.block_loop::<1, S, R>(plan, range, rows, faults),
+            2 => self.block_loop::<2, S, R>(plan, range, rows, faults),
+            4 => self.block_loop::<4, S, R>(plan, range, rows, faults),
+            8 => self.block_loop::<8, S, R>(plan, range, rows, faults),
             w => unreachable!("BatchPlan guarantees a supported width, got {w}"),
         }
     }
@@ -325,7 +325,7 @@ impl FaultSimulator {
     /// skipping a dropped `(row, fault)` pair can never change an
     /// OR-detect or a first-index-min result. Once every pair of the
     /// range is dropped the loop stops: later blocks can change nothing.
-    fn kernel_w<const W: usize, S: Sink, R: AsRef<[BitVec]>>(
+    fn block_loop<const W: usize, S: Sink, R: AsRef<[BitVec]>>(
         &self,
         plan: &BatchPlan,
         range: Range<usize>,
@@ -361,17 +361,17 @@ impl FaultSimulator {
             pi_words.fill(SimWord::ZERO);
             for g in &block.groups {
                 let start = g.start as usize;
-                pack::pack_patterns_at_w(
+                pack::pack_patterns_at(
                     &mut pi_words,
                     g.lane_offset as usize,
                     &rows[g.row as usize].as_ref()[start..start + g.len as usize],
                 );
             }
-            self.sim.eval_block_into_w(&pi_words, &mut good);
+            self.sim.eval_block_into(&pi_words, &mut good);
             self.sim
-                .record_occupancy_wide(block.lanes_used, SimWord::<W>::LANES);
+                .record_occupancy(block.lanes_used, SimWord::<W>::LANES);
             masks.clear();
-            masks.extend(block.groups.iter().map(|g| g.mask_w::<W>()));
+            masks.extend(block.groups.iter().map(|g| g.mask::<W>()));
             for (fid, fault) in faults.iter() {
                 let fi = fid.index();
                 let mut mask = SimWord::<W>::ZERO;
@@ -867,7 +867,7 @@ mod tests {
             let sim = FaultSimulator::new(&o.netlist).unwrap();
             let (rows, faults) = (&o.rows, &o.faults);
             for w in SIMD_WIDTHS {
-                let plan = BatchPlan::with_width(&ROW_LENGTHS, w);
+                let plan = BatchPlan::new(&ROW_LENGTHS, w);
                 for ranges in partitions(plan.block_count(), w as u64) {
                     let mut detected = vec![BitVec::zeros(faults.len()); rows.len()];
                     let mut firsts =
@@ -998,7 +998,7 @@ mod tests {
         assert!(per_row.ratio() < 0.1, "per-row ratio {}", per_row.ratio());
 
         sim.good_simulator().reset_occupancy();
-        let plan = BatchPlan::new(&[4; 16]);
+        let plan = BatchPlan::new(&[4; 16], 1);
         let _ = sim.detects_blocks(&plan, 0..plan.block_count(), &rows, &faults);
         let batched = sim.good_simulator().occupancy();
         assert_eq!(batched.blocks, 1);

@@ -1,17 +1,14 @@
 //! Gate-level logic simulation.
 //!
-//! Four simulators, one per use case in the reseeding flow:
+//! Two simulators and a signature register, one per use case in the
+//! reseeding flow:
 //!
-//! * [`PackedSimulator`] — 64-way bit-parallel combinational simulation
-//!   (one `u64` per net carries 64 pattern lanes). This is the workhorse
-//!   behind fault simulation and detection-matrix construction.
+//! * [`PackedSimulator`] — bit-parallel combinational simulation over
+//!   [`SimWord<W>`] blocks (one `[u64; W]` per net carries `64·W`
+//!   pattern lanes). This is the workhorse behind fault simulation and
+//!   detection-matrix construction.
 //! * [`SeqSimulator`] — cycle-accurate sequential simulation of netlists
-//!   with flip-flops, also 64 lanes wide (64 independent executions).
-//! * [`TritSimulator`] — three-valued (`0`/`1`/`X`) single-pattern
-//!   simulation of [`Cube`](fbist_bits::Cube)s, used to reason about
-//!   partially specified patterns.
-//! * [`EventSimulator`] — classic single-pattern event-driven simulation,
-//!   kept as a cross-check and for the ablation benchmarks;
+//!   with flip-flops, 64 lanes wide (64 independent executions).
 //! * [`Misr`] — multiple-input signature register for output-response
 //!   compaction, the observation side of a real BIST datapath.
 //!
@@ -34,63 +31,27 @@
 #![warn(missing_docs)]
 
 mod error;
-mod event;
 mod misr;
 mod packed;
 mod seq;
-mod threeval;
 
 pub use error::SimError;
-pub use event::EventSimulator;
 pub use misr::Misr;
 pub use packed::{LaneOccupancy, PackedSimulator};
 pub use seq::SeqSimulator;
-pub use threeval::TritSimulator;
 
 use fbist_bits::SimWord;
 use fbist_netlist::{GateId, GateKind, Netlist};
 
-/// Evaluates one gate over packed values stored in a flat per-net array.
+/// Evaluates one gate over packed values stored in a flat per-net array:
+/// one [`SimWord<W>`] per net carries `64·W` pattern lanes. The fold
+/// bodies are plain `[u64; W]` array ops, which the autovectorizer lowers
+/// to 128/256/512-bit SIMD.
 ///
 /// This is the inner loop of every simulator in this crate; it avoids
 /// materialising a fanin slice per gate.
 #[inline]
-pub(crate) fn eval_gate_packed(kind: GateKind, fanin: &[GateId], values: &[u64]) -> u64 {
-    match kind {
-        GateKind::And => fanin.iter().fold(u64::MAX, |a, f| a & values[f.index()]),
-        GateKind::Nand => !fanin.iter().fold(u64::MAX, |a, f| a & values[f.index()]),
-        GateKind::Or => fanin.iter().fold(0u64, |a, f| a | values[f.index()]),
-        GateKind::Nor => !fanin.iter().fold(0u64, |a, f| a | values[f.index()]),
-        GateKind::Xor => fanin.iter().fold(0u64, |a, f| a ^ values[f.index()]),
-        GateKind::Xnor => !fanin.iter().fold(0u64, |a, f| a ^ values[f.index()]),
-        GateKind::Not => !values[fanin[0].index()],
-        GateKind::Buff => values[fanin[0].index()],
-        GateKind::Const0 => 0,
-        GateKind::Const1 => u64::MAX,
-        GateKind::Input | GateKind::Dff => unreachable!("sources are assigned, not evaluated"),
-    }
-}
-
-/// Evaluates every non-source gate of `netlist` in `order`, reading and
-/// writing the flat `values` array. Input and DFF values must already be
-/// assigned.
-#[inline]
-pub(crate) fn sweep(netlist: &Netlist, order: &[GateId], values: &mut [u64]) {
-    for &id in order {
-        let g = netlist.gate(id);
-        let k = g.kind();
-        if k == GateKind::Input || k == GateKind::Dff {
-            continue;
-        }
-        values[id.index()] = eval_gate_packed(k, g.fanin(), values);
-    }
-}
-
-/// Width-generic [`eval_gate_packed`]: one [`SimWord<W>`] per net carries
-/// `64·W` pattern lanes. The fold bodies are plain `[u64; W]` array ops,
-/// which the autovectorizer lowers to 128/256/512-bit SIMD.
-#[inline]
-pub(crate) fn eval_gate_packed_w<const W: usize>(
+pub(crate) fn eval_gate_packed<const W: usize>(
     kind: GateKind,
     fanin: &[GateId],
     values: &[SimWord<W>],
@@ -111,9 +72,11 @@ pub(crate) fn eval_gate_packed_w<const W: usize>(
     }
 }
 
-/// Width-generic [`sweep`] over [`SimWord<W>`] value buffers.
+/// Evaluates every non-source gate of `netlist` in `order`, reading and
+/// writing the flat `values` array. Input and DFF values must already be
+/// assigned.
 #[inline]
-pub(crate) fn sweep_w<const W: usize>(
+pub(crate) fn sweep<const W: usize>(
     netlist: &Netlist,
     order: &[GateId],
     values: &mut [SimWord<W>],
@@ -124,6 +87,6 @@ pub(crate) fn sweep_w<const W: usize>(
         if k == GateKind::Input || k == GateKind::Dff {
             continue;
         }
-        values[id.index()] = eval_gate_packed_w(k, g.fanin(), values);
+        values[id.index()] = eval_gate_packed(k, g.fanin(), values);
     }
 }

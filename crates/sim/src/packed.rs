@@ -1,18 +1,20 @@
-//! 64-way bit-parallel combinational simulation.
+//! `64·W`-way bit-parallel combinational simulation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbist_bits::{pack, BitVec, SimWord};
 use fbist_netlist::{GateId, Netlist};
 
-use crate::{sweep, sweep_w, SimError};
+use crate::{sweep, SimError};
 
 /// Lane-occupancy statistics of a [`PackedSimulator`].
 ///
 /// Every evaluated block carries its full lane capacity (`64·W` lanes at
-/// SIMD width `W`) whether or not the lanes hold real patterns; the ratio
-/// of used lanes to available lanes is the direct measure of how much
-/// bit-parallel bandwidth a workload wastes. The per-row Detection-Matrix
+/// SIMD width `W`) whether or not the lanes hold real patterns. The block
+/// drivers report each block's used lanes and capacity through
+/// [`PackedSimulator::record_occupancy`]; the ratio of used lanes to
+/// available lanes is the direct measure of how much bit-parallel
+/// bandwidth a workload wastes. The per-row Detection-Matrix
 /// build occupies only `τ + 1 (mod 64)` lanes of each row's last block
 /// (6.25 % at `τ = 3`); the cross-row batch engine exists to push this
 /// toward 100 %. Capacity is counted per block rather than assumed, so
@@ -41,9 +43,12 @@ impl LaneOccupancy {
 
 /// Bit-parallel combinational simulator.
 ///
-/// One `u64` per net holds the net's value under up to 64 input patterns
-/// simultaneously (bit `k` = lane `k`). A full evaluation of the circuit
-/// under 64 patterns costs one pass over the levelised gate list.
+/// One [`SimWord<W>`] per net holds the net's value under up to `64·W`
+/// input patterns simultaneously (flat lane `k` = pattern `k`). A full
+/// evaluation of the circuit under `64·W` patterns costs one pass over
+/// the levelised gate list; lane `k` of a `W`-wide block behaves exactly
+/// like lane `k % 64` of 64-lane block `k / 64`, so results never depend
+/// on `W`.
 ///
 /// The simulator owns a clone of the netlist and its topological order, so
 /// it can be handed around independently of the original.
@@ -115,20 +120,13 @@ impl PackedSimulator {
         })
     }
 
-    /// Records one evaluated 64-lane block with `lanes_used` occupied
-    /// lanes.
+    /// Records one evaluated block of `lane_capacity` total lanes (`64·W`
+    /// at SIMD width `W`) with `lanes_used` of them occupied.
     ///
     /// Called by the block-level drivers (the fault simulator and
     /// [`simulate_patterns`](Self::simulate_patterns)), which know how many
-    /// lanes of the block carried real patterns. Wider drivers use
-    /// [`record_occupancy_wide`](Self::record_occupancy_wide).
-    pub fn record_occupancy(&self, lanes_used: usize) {
-        self.record_occupancy_wide(lanes_used, pack::BLOCK);
-    }
-
-    /// Records one evaluated block of `lane_capacity` total lanes (`64·W`
-    /// at SIMD width `W`) with `lanes_used` of them occupied.
-    pub fn record_occupancy_wide(&self, lanes_used: usize, lane_capacity: usize) {
+    /// lanes of the block carried real patterns.
+    pub fn record_occupancy(&self, lanes_used: usize, lane_capacity: usize) {
         self.blocks_evaluated.fetch_add(1, Ordering::Relaxed);
         self.lanes_occupied
             .fetch_add(lanes_used as u64, Ordering::Relaxed);
@@ -167,22 +165,12 @@ impl PackedSimulator {
         self.netlist.inputs().len()
     }
 
-    /// Number of primary outputs.
-    pub fn output_count(&self) -> usize {
-        self.netlist.outputs().len()
-    }
-
-    /// Allocates a value buffer of the right size (one word per net).
-    pub fn value_buffer(&self) -> Vec<u64> {
-        vec![0u64; self.netlist.gate_count()]
-    }
-
     /// Allocates a width-`W` value buffer (one [`SimWord<W>`] per net).
-    pub fn value_buffer_w<const W: usize>(&self) -> Vec<SimWord<W>> {
+    pub fn value_buffer<const W: usize>(&self) -> Vec<SimWord<W>> {
         vec![SimWord::ZERO; self.netlist.gate_count()]
     }
 
-    /// Evaluates one 64-lane block in place.
+    /// Evaluates one `64·W`-lane block in place.
     ///
     /// `pi_words[k]` is the packed word of primary input `k` (see
     /// [`fbist_bits::pack`]); on return `values[net]` holds every net's
@@ -192,22 +180,7 @@ impl PackedSimulator {
     ///
     /// Panics if `pi_words` is shorter than the input count or `values`
     /// shorter than the gate count.
-    pub fn eval_block_into(&self, pi_words: &[u64], values: &mut [u64]) {
-        for (k, &pi) in self.netlist.inputs().iter().enumerate() {
-            values[pi.index()] = pi_words[k];
-        }
-        sweep(&self.netlist, &self.order, values);
-    }
-
-    /// Evaluates one `64·W`-lane block in place — the width-generic
-    /// [`eval_block_into`](Self::eval_block_into). Lane `k` of the block
-    /// behaves exactly like lane `k % 64` of 64-lane block `k / 64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_words` is shorter than the input count or `values`
-    /// shorter than the gate count.
-    pub fn eval_block_into_w<const W: usize>(
+    pub fn eval_block_into<const W: usize>(
         &self,
         pi_words: &[SimWord<W>],
         values: &mut [SimWord<W>],
@@ -215,62 +188,32 @@ impl PackedSimulator {
         for (k, &pi) in self.netlist.inputs().iter().enumerate() {
             values[pi.index()] = pi_words[k];
         }
-        sweep_w(&self.netlist, &self.order, values);
+        sweep(&self.netlist, &self.order, values);
     }
 
-    /// Extracts the packed primary-output words from a value buffer.
-    pub fn output_words(&self, values: &[u64]) -> Vec<u64> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|o| values[o.index()])
-            .collect()
-    }
-
-    /// Extracts the packed primary-output words from a width-`W` value
-    /// buffer.
-    pub fn output_words_w<const W: usize>(&self, values: &[SimWord<W>]) -> Vec<SimWord<W>> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|o| values[o.index()])
-            .collect()
-    }
-
-    /// Simulates an arbitrary number of patterns, returning one response
-    /// [`BitVec`] (over the primary outputs) per pattern.
+    /// Simulates an arbitrary number of patterns in 64-lane blocks,
+    /// returning one response [`BitVec`] (over the primary outputs) per
+    /// pattern.
     ///
     /// # Panics
     ///
     /// Panics if a pattern's width differs from the input count.
     pub fn simulate_patterns(&self, patterns: &[BitVec]) -> Vec<BitVec> {
         let mut responses = Vec::with_capacity(patterns.len());
-        let mut values = self.value_buffer();
+        let mut values = self.value_buffer::<1>();
         for chunk in patterns.chunks(pack::BLOCK) {
-            let pi_words = pack::pack_patterns(self.input_count(), chunk);
+            let pi_words = pack::pack_patterns::<1>(self.input_count(), chunk);
             self.eval_block_into(&pi_words, &mut values);
-            self.record_occupancy(chunk.len());
-            let po_words = self.output_words(&values);
+            self.record_occupancy(chunk.len(), pack::BLOCK);
+            let po_words: Vec<SimWord<1>> = self
+                .netlist
+                .outputs()
+                .iter()
+                .map(|o| values[o.index()])
+                .collect();
             responses.extend(pack::unpack_patterns(&po_words, chunk.len()));
         }
         responses
-    }
-
-    /// Simulates a single pattern and also returns the full per-net value
-    /// map (as booleans), useful for debugging and for the event-driven
-    /// simulator cross-checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width differs from the input count.
-    pub fn simulate_full(&self, pattern: &BitVec) -> (BitVec, Vec<bool>) {
-        let mut values = self.value_buffer();
-        let pi_words = pack::pack_patterns(self.input_count(), std::slice::from_ref(pattern));
-        self.eval_block_into(&pi_words, &mut values);
-        let po_words = self.output_words(&values);
-        let response = pack::unpack_patterns(&po_words, 1).remove(0);
-        let nets = values.iter().map(|&w| w & 1 == 1).collect();
-        (response, nets)
     }
 }
 
@@ -340,32 +283,20 @@ mod tests {
     }
 
     #[test]
-    fn simulate_full_exposes_internals() {
-        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nm = AND(a, b)\ny = NOT(m)\n";
-        let n = bench::parse(src).unwrap();
-        let sim = PackedSimulator::new(&n).unwrap();
-        let p: BitVec = "11".parse().unwrap();
-        let (r, nets) = sim.simulate_full(&p);
-        assert_eq!(r.to_u64(), Some(0));
-        let m = n.find("m").unwrap();
-        assert!(nets[m.index()]);
-    }
-
-    #[test]
     fn wide_eval_matches_narrow_blocks() {
         // lane k of a W-wide block == lane k%64 of narrow block k/64, for
         // every net: the flat-lane contract the fault engines build on.
         let sim = PackedSimulator::new(&embedded::adder4()).unwrap();
         let patterns: Vec<BitVec> = (0..200u64).map(|v| BitVec::from_u64(9, v * 29)).collect();
-        let wide_pi = pack::pack_patterns_w::<4>(9, &patterns);
-        let mut wide = sim.value_buffer_w::<4>();
-        sim.eval_block_into_w(&wide_pi, &mut wide);
-        let mut narrow = sim.value_buffer();
+        let wide_pi = pack::pack_patterns::<4>(9, &patterns);
+        let mut wide = sim.value_buffer::<4>();
+        sim.eval_block_into(&wide_pi, &mut wide);
+        let mut narrow = sim.value_buffer::<1>();
         for (b, chunk) in patterns.chunks(pack::BLOCK).enumerate() {
-            let pi = pack::pack_patterns(9, chunk);
+            let pi = pack::pack_patterns::<1>(9, chunk);
             sim.eval_block_into(&pi, &mut narrow);
             for (net, w) in wide.iter().enumerate() {
-                assert_eq!(w.0[b], narrow[net], "net {net} sub-block {b}");
+                assert_eq!(w.0[b], narrow[net].0[0], "net {net} sub-block {b}");
             }
         }
     }
@@ -373,8 +304,8 @@ mod tests {
     #[test]
     fn occupancy_tracks_capacity_per_block() {
         let sim = PackedSimulator::new(&embedded::majority()).unwrap();
-        sim.record_occupancy(10); // 64-lane block
-        sim.record_occupancy_wide(200, 256); // one W=4 block
+        sim.record_occupancy(10, 64); // one W=1 block
+        sim.record_occupancy(200, 256); // one W=4 block
         let occ = sim.occupancy();
         assert_eq!(occ.blocks, 2);
         assert_eq!(occ.lanes, 210);

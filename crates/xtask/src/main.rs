@@ -34,6 +34,8 @@
 //!    suite — the same directory, so parallel tests delete each other's
 //!    files and fail intermittently. Tests name their directories after
 //!    the test, the process id and a counter, and remove them on drop.
+//!    Scans every workspace member's sources: `crates/`, `vendor/`,
+//!    `tests/` and `src/`.
 
 #![forbid(unsafe_code)]
 
@@ -287,7 +289,7 @@ fn lint_no_fixed_temp_dirs(root: &Path, failures: &mut Vec<String>) {
     // built at runtime so this source file cannot trip its own lint
     let needle: String = ["temp_dir()", ".join(\""].concat();
     let mut sources = Vec::new();
-    for top in ["crates", "tests"] {
+    for top in ["crates", "vendor", "tests", "src"] {
         collect_rs_files(&root.join(top), &mut sources);
     }
     for path in sources {
@@ -450,12 +452,20 @@ mod tests {
             format!("fn t() {{ {fixed}; }}\n"),
         )
         .unwrap();
+        // vendored workspace members are test code under `#[cfg(test)]` too
+        std::fs::create_dir_all(dir.join("vendor/shim/src")).unwrap();
+        std::fs::write(
+            dir.join("vendor/shim/src/lib.rs"),
+            format!("fn run() {{ {fixed}; }}\n#[cfg(test)]\nmod tests {{\n    fn t() {{ {fixed}; }}\n}}\n"),
+        )
+        .unwrap();
         let mut failures = Vec::new();
         lint_no_fixed_temp_dirs(&dir, &mut failures);
-        // the non-test line 1 of main.rs is allowed
-        assert_eq!(failures.len(), 2, "{failures:#?}");
+        // the non-test line 1 of main.rs and of the shim is allowed
+        assert_eq!(failures.len(), 3, "{failures:#?}");
         assert!(failures[0].contains("main.rs:3:"), "{failures:#?}");
-        assert!(failures[1].contains("smoke.rs:1:"), "{failures:#?}");
+        assert!(failures[1].contains("shim/src/lib.rs:4:"), "{failures:#?}");
+        assert!(failures[2].contains("smoke.rs:1:"), "{failures:#?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

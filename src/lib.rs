@@ -14,7 +14,7 @@
 //! | [`analyze`] | `fbist-analyze` | static analysis, implications, untestability |
 //! | [`netlist`] | `fbist-netlist` | gate-level IR, `.bench` I/O, full-scan |
 //! | [`genbench`] | `fbist-genbench` | synthetic ISCAS-like circuits |
-//! | [`sim`] | `fbist-sim` | packed / sequential / 3-valued / event simulation |
+//! | [`sim`] | `fbist-sim` | bit-parallel combinational / sequential simulation, MISR |
 //! | [`fault`] | `fbist-fault` | stuck-at faults, collapsing, fault simulation |
 //! | [`atpg`] | `fbist-atpg` | PODEM + SCOAP + full ATPG engine |
 //! | [`tpg`] | `fbist-tpg` | accumulator & LFSR pattern generators |

@@ -159,7 +159,7 @@ fn assert_planner_occupancy(name: &str) {
 
     // the plan is a pure function of the row lengths: every row is τ+1 = 4
     // expanded patterns
-    let plan = BatchPlan::new(&vec![4; init.triplet_count()]);
+    let plan = BatchPlan::new(&vec![4; init.triplet_count()], 1);
     assert!(
         plan.occupancy() >= 0.9,
         "{name}: batched planner occupancy {:.3} < 0.9 ({} rows)",
